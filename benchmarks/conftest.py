@@ -8,8 +8,9 @@ pytest-benchmark timings quantify the costs the paper only argues about
 
 import pytest
 
+from repro.config import build_from_config
 from repro.core import CloudMonitor, cinder_behavior_model, cinder_resource_model
-from repro.validation import default_setup
+from repro.validation import paper_config
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +22,7 @@ def cinder_models():
 @pytest.fixture()
 def monitored_cloud():
     """Fresh cloud + audit-mode monitor + per-user clients."""
-    cloud, monitor = default_setup()
+    cloud, monitor = build_from_config(paper_config())
     tokens = cloud.paper_tokens()
     clients = {user: cloud.client(token) for user, token in tokens.items()}
     return cloud, monitor, clients

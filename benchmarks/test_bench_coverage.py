@@ -9,12 +9,13 @@ requirement (100% coverage), and a deliberately partial battery must show
 the gap.
 """
 
-from repro.validation import BatteryStep, TestOracle, default_setup
+from repro.config import build_from_config
+from repro.validation import BatteryStep, TestOracle, paper_config
 
 
 def test_bench_coverage_full_battery(benchmark):
     def run():
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(paper_config())
         oracle = TestOracle(cloud, monitor)
         oracle.run()
         return monitor.coverage
@@ -30,7 +31,7 @@ def test_bench_coverage_full_battery(benchmark):
 
 def test_bench_coverage_partial_battery_shows_gap(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    cloud, monitor = default_setup()
+    cloud, monitor = build_from_config(paper_config())
     oracle = TestOracle(cloud, monitor)
     # A read-only battery: only SecReq 1.1 is exercised.
     oracle.run([

@@ -8,10 +8,11 @@ assembled from the same models dispatches requests.
 
 import ast
 
+from repro.config import build_from_config
 from repro.core import CloudMonitor
 from repro.core.codegen import generate_project
 from repro.rbac import SecurityRequirementsTable
-from repro.validation import default_setup
+from repro.validation import paper_config
 
 
 def test_bench_listing23_generate_project(benchmark, cinder_models):
@@ -47,7 +48,7 @@ def test_bench_listing23_generate_project(benchmark, cinder_models):
 
 def test_bench_listing23_runnable_monitor_dispatch(benchmark):
     """The runnable monitor built from the same models serves requests."""
-    cloud, monitor = default_setup()
+    cloud, monitor = build_from_config(paper_config())
     tokens = cloud.paper_tokens()
     bob = cloud.client(tokens["bob"])
 

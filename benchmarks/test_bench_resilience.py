@@ -14,9 +14,10 @@ Three questions the resilient transport must answer with numbers:
 
 import json
 
-from repro.validation import run_leg
-from repro.validation.chaos import (
+from repro.validation import (
+    chaos_config,
     recoverable_program,
+    run_leg,
     unrecoverable_program,
 )
 
@@ -25,29 +26,31 @@ SEED = 7
 
 
 def test_bench_resilient_fault_free(benchmark):
-    leg = benchmark(run_leg, COUNT, SEED, None)
+    leg = benchmark(run_leg, chaos_config(), COUNT, SEED, None)
     assert leg.retries == 0
     assert leg.indeterminate == 0
 
 
 def test_bench_resilient_recoverable_faults(benchmark):
-    leg = benchmark(run_leg, COUNT, SEED, recoverable_program)
+    leg = benchmark(run_leg, chaos_config(), COUNT, SEED,
+                    recoverable_program)
     assert leg.retries > 0
     assert leg.indeterminate == 0
 
 
 def test_bench_resilient_dead_substrate(benchmark):
-    leg = benchmark(run_leg, COUNT, SEED, unrecoverable_program)
+    leg = benchmark(run_leg, chaos_config(), COUNT, SEED,
+                    unrecoverable_program)
     assert leg.indeterminate == len(leg.rows)
 
 
 def test_bench_resilience_verdict_parity(benchmark):
     """Parity report: recoverable faults leave the verdict stream intact."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    baseline = run_leg(COUNT, SEED, None)
-    faulted = run_leg(COUNT, SEED, recoverable_program)
+    baseline = run_leg(chaos_config(), COUNT, SEED, None)
+    faulted = run_leg(chaos_config(), COUNT, SEED, recoverable_program)
     assert faulted.rows == baseline.rows
-    dead = run_leg(COUNT, SEED, unrecoverable_program)
+    dead = run_leg(chaos_config(), COUNT, SEED, unrecoverable_program)
     verdicts = {json.loads(row)["verdict"] for row in dead.rows}
     assert verdicts == {"indeterminate"}
     # probe_count ticks once per *logical* probe; the retry attempts live

@@ -14,9 +14,8 @@ Run with::
     python examples/cinder_monitoring.py
 """
 
-from repro.cloud import PrivateCloud
+from repro.config import MonitorConfig, build_from_config
 from repro.core import (
-    CloudMonitor,
     ContractGenerator,
     cinder_behavior_model,
     cinder_resource_model,
@@ -94,11 +93,8 @@ def section_vi_monitoring():
     print("=" * 72)
     print("Section VI-D: monitoring the (simulated) OpenStack deployment")
     print("=" * 72)
-    cloud = PrivateCloud.paper_setup()
+    cloud, monitor = build_from_config(MonitorConfig())
     tokens = cloud.paper_tokens()
-    monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                      enforcing=True)
-    cloud.network.register("cmonitor", monitor.app)
 
     # Create a volume as bob so there is something to DELETE.
     bob = cloud.client(tokens["bob"])

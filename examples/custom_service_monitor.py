@@ -134,20 +134,26 @@ def build_wiki_service(keystone: KeystoneService) -> Application:
 class WikiStateProvider(CloudStateProvider):
     """Probes the wiki's addressable state: the pages collection + user."""
 
-    def bindings(self, token, item_id=None):
-        listing = self._get(token, "http://wiki/v1/pages")
-        pages = (listing.json().get("pages", [])
-                 if status.indicates_existence(listing.status_code) else None)
-        user = {}
-        whoami = self._get(token, f"http://{self.keystone_host}/v3/auth/tokens",
-                           extra_headers={"X-Subject-Token": token})
-        if status.indicates_existence(whoami.status_code):
-            info = whoami.json().get("token", {})
-            user = {"id": info.get("user", {}).get("id"),
-                    "roles": [r["name"] for r in info.get("roles", [])]}
-        bindings = {"user": user}
-        if pages is not None:
-            bindings["pages"] = pages
+    #: The wiki's OCL roots; probe plans pick from these per phase.
+    roots = ("pages", "user")
+
+    def bindings(self, token, item_id=None, roots=None):
+        requested = set(self.roots if roots is None else roots)
+        bindings = {}
+        if "pages" in requested:
+            listing = self._get(token, "http://wiki/v1/pages")
+            if status.indicates_existence(listing.status_code):
+                bindings["pages"] = listing.json().get("pages", [])
+        if "user" in requested:
+            user = {}
+            whoami = self._get(
+                token, f"http://{self.keystone_host}/v3/auth/tokens",
+                extra_headers={"X-Subject-Token": token})
+            if status.indicates_existence(whoami.status_code):
+                info = whoami.json().get("token", {})
+                user = {"id": info.get("user", {}).get("id"),
+                        "roles": [r["name"] for r in info.get("roles", [])]}
+            bindings["user"] = user
         return bindings
 
 

@@ -13,24 +13,21 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro.cloud import PrivateCloud
-from repro.core import CloudMonitor
+from repro.config import MonitorConfig, MonitorSection, build_from_config
 
 MONITOR_URL = "http://cmonitor/cmonitor/volumes"
 
 
 def main() -> None:
     # 1. A private cloud with one project, three users (alice=admin,
-    #    bob=member, carol=user) and a volume quota of 5.
-    cloud = PrivateCloud.paper_setup()
+    #    bob=member, carol=user) and a volume quota of 5, and
+    # 2. the monitor, generated from the paper's design models, mounted on
+    #    the virtual network next to the cloud as "cmonitor".  Audit mode
+    #    forwards even contract-violating requests so wrong cloud
+    #    behaviour is observable.
+    cloud, monitor = build_from_config(
+        MonitorConfig(monitor=MonitorSection(enforcing=False)))
     tokens = cloud.paper_tokens()
-
-    # 2. The monitor, generated from the paper's design models, mounted on
-    #    the virtual network next to the cloud.  Audit mode forwards even
-    #    contract-violating requests so wrong cloud behaviour is observable.
-    monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                      enforcing=False)
-    cloud.network.register("cmonitor", monitor.app)
 
     alice = cloud.client(tokens["alice"])
     bob = cloud.client(tokens["bob"])

@@ -20,6 +20,8 @@ Run with::
 """
 
 from repro.cloud import PrivateCloud, SnapshotCheckBypassMutant, paper_mutants
+from repro.config import (CloudSection, MonitorConfig, MonitorSection,
+                          build_from_config)
 from repro.core import CloudMonitor, cinder_behavior_model
 from repro.validation import (
     MutationCampaign,
@@ -34,11 +36,10 @@ def drift_detection() -> None:
     print("=" * 72)
     print("Step 1: release-1 monitor vs. release-2 cloud -- drift detected")
     print("=" * 72)
-    cloud = PrivateCloud.paper_setup(release2=True)
+    cloud, monitor = build_from_config(MonitorConfig(
+        cloud=CloudSection(release2=True),
+        monitor=MonitorSection(enforcing=False)))
     tokens = cloud.paper_tokens()
-    monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                      enforcing=False)
-    cloud.network.register("cmonitor", monitor.app)
     bob = cloud.client(tokens["bob"])
     alice = cloud.client(tokens["alice"])
 
@@ -68,8 +69,8 @@ def revised_models() -> None:
         break
     cloud = PrivateCloud.paper_setup(release2=True)
     tokens = cloud.paper_tokens()
-    monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                      machine=machine, enforcing=False)
+    monitor = CloudMonitor.for_service("cinder", cloud.network, "myProject",
+                                       machine=machine, enforcing=False)
     cloud.network.register("cmonitor", monitor.app)
     bob = cloud.client(tokens["bob"])
     alice = cloud.client(tokens["alice"])

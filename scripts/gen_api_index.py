@@ -30,18 +30,10 @@ HEADER = [
     "(``repro.core.verdict_schema``, ``schema_version: 2``) shared by "
     "``MonitorVerdict.to_dict``, the audit log, and the JSON exporter; "
     "version-1 rows still load, newer versions are rejected.",
-    "- ``CloudMonitor.for_cinder`` (and friends) are deprecated aliases "
-    "for ``CloudMonitor.for_service(name, ...)`` backed by the scenario "
-    "registry in ``repro.core.scenarios``.",
-    "- The ad-hoc ``fanout=`` / ``probe_cache=`` constructor keywords "
-    "are deprecated in favour of a typed "
-    "``options=MonitorOptions(...)`` value (``repro.core.options``); "
-    "they keep working for one release and warn ``DeprecationWarning``.",
-    "- ``default_setup`` / ``resilient_setup`` / ``fleet_setup`` in "
-    "``repro.validation`` are deprecated shims over "
-    "``repro.config.build_from_config``; describe the deployment with a "
-    "``MonitorConfig`` (``config_version: 1``) instead. "
-    "``repro.config.migrate`` lifts legacy flat documents.",
+    "- Deployments are built one way: describe them with a "
+    "``MonitorConfig`` (``config_version: 1``) and call "
+    "``repro.config.build_from_config``; ``repro.config.migrate`` lifts "
+    "legacy flat documents.",
     "",
 ]
 

@@ -19,20 +19,14 @@ PYTHONPATH=src python scripts/check_obs_coverage.py --floor 80
 echo "==> probe budget gate (planning enabled, deterministic workload)"
 PYTHONPATH=src python scripts/check_probe_budget.py
 
-echo "==> chaos parity gate (recoverable faults leave verdicts unchanged)"
-PYTHONPATH=src python scripts/check_chaos_parity.py
-
-echo "==> cache parity gate (probe cache leaves verdicts unchanged)"
-PYTHONPATH=src python scripts/check_cache_parity.py
+echo "==> parity matrix (cache/fan-out/fleet/faults leave verdicts unchanged)"
+PYTHONPATH=src python scripts/check_parity_matrix.py
 
 echo "==> slo gate (deterministic slo/events/alarms output matches baseline)"
 PYTHONPATH=src python scripts/check_slo_gate.py
 
 echo "==> config gate (round-trip + migrate lossless by digest)"
 PYTHONPATH=src python scripts/check_config_migrate.py
-
-echo "==> fan-out/fleet parity gate (concurrency leaves verdicts unchanged)"
-PYTHONPATH=src python scripts/check_fanout_parity.py
 
 echo "==> overload gate (generous-control parity + deterministic burst)"
 PYTHONPATH=src python scripts/check_overload_gate.py

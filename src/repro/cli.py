@@ -38,6 +38,7 @@ import sys
 from typing import List, Optional
 
 from .cloud import extended_mutants, paper_mutants
+from .config import build_from_config
 from .core import ContractGenerator, cinder_behavior_model, cinder_resource_model
 from .errors import ReproError
 from .rbac import SecurityRequirementsTable
@@ -45,9 +46,9 @@ from .validation import (
     MutationCampaign,
     TestOracle,
     extended_battery,
+    paper_config,
     standard_battery,
 )
-from .validation.campaign import _default_setup as default_setup
 
 
 def cmd_table(_args: argparse.Namespace) -> int:
@@ -68,8 +69,8 @@ def cmd_contracts(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    cloud, monitor = default_setup(enforcing=args.enforcing,
-                                   probe_cache=args.probe_cache)
+    cloud, monitor = build_from_config(paper_config(
+        enforcing=args.enforcing, probe_cache=args.probe_cache))
     oracle = TestOracle(cloud, monitor)
     battery = extended_battery() if args.extended else standard_battery()
     oracle.run(battery)
@@ -215,13 +216,15 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 print(f"  trajectory appended to {args.trajectory}")
         return 0
 
-    from .validation import run_fleet_leg, run_leg
+    from .validation import chaos_config, run_leg
 
-    serial = run_leg(count=args.requests, seed=args.seed,
-                     probe_cache=args.probe_cache)
-    fleet = run_fleet_leg(count=args.requests, seed=args.seed,
-                          shards=args.shards, fanout=args.fanout,
-                          probe_cache=args.probe_cache)
+    cache = {"probe_cache": args.probe_cache}
+    serial = run_leg(chaos_config({"monitor": cache}),
+                     count=args.requests, seed=args.seed)
+    fleet = run_leg(chaos_config({"fleet": {"shards": args.shards},
+                                  "monitor": {**cache,
+                                              "fanout": args.fanout}}),
+                    count=args.requests, seed=args.seed)
     parity = serial.rows == fleet.rows
     summary = {
         "shards": args.shards,
@@ -261,23 +264,13 @@ def _monitored_session(args: argparse.Namespace):
 
     clock = ManualClock(tick=1e-4) if args.deterministic else None
     obs = Observability(clock=clock)
+    config = paper_config(enforcing=args.enforcing)
     sample_rate = getattr(args, "sample_rate", None)
     if sample_rate is not None:
-        from .config import (CloudSection, MonitorConfig, MonitorSection,
-                             ObservabilitySection, SamplingSection,
-                             build_from_config)
-
-        config = MonitorConfig(
-            cloud=CloudSection(volume_quota=5),
-            monitor=MonitorSection(enforcing=args.enforcing),
-            observability=ObservabilitySection(
-                sampling=SamplingSection(
-                    enabled=True, rate=sample_rate,
-                    seed=getattr(args, "sample_seed", 0) or 0)))
-        cloud, monitor = build_from_config(config, observability=obs)
-    else:
-        cloud, monitor = default_setup(enforcing=args.enforcing,
-                                       observability=obs)
+        config = config.with_delta({"observability": {"sampling": {
+            "enabled": True, "rate": sample_rate,
+            "seed": getattr(args, "sample_seed", 0) or 0}}})
+    cloud, monitor = build_from_config(config, observability=obs)
     oracle = TestOracle(cloud, monitor)
     battery = extended_battery() if args.extended else standard_battery()
     oracle.run(battery)
@@ -384,10 +377,10 @@ def _degraded_alarm_session():
     it heals and the burn windows drain -- is byte-identical across
     runs.  ``scripts/check_slo_gate.py`` pins its digest.
     """
-    from .validation.chaos import (CHAOS_HOSTS, _resilient_setup,
+    from .validation.chaos import (CHAOS_HOSTS, chaos_config,
                                    unrecoverable_program)
 
-    cloud, monitor = _resilient_setup()
+    cloud, monitor = build_from_config(chaos_config())
     clock = monitor.obs.clock
     token = cloud.paper_tokens()["alice"]
     url = "http://cmonitor/cmonitor/volumes"
@@ -606,7 +599,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from .cloud import extended_mutants, paper_mutants
     from .validation import session_report
 
-    cloud, monitor = default_setup()
+    cloud, monitor = build_from_config(paper_config())
     oracle = TestOracle(cloud, monitor)
     battery = extended_battery() if args.extended else standard_battery()
     oracle.run(battery)
@@ -626,7 +619,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:  # pragma: no cover - blocks
     from .httpsim import serve
 
-    cloud, monitor = default_setup(enforcing=not args.audit)
+    cloud, monitor = build_from_config(
+        paper_config(enforcing=not args.audit))
     tokens = cloud.paper_tokens()
     server = serve(monitor.app, port=args.port).start()
     print(f"cloud monitor listening on {server.base_url}/cmonitor/volumes")

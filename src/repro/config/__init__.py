@@ -1,14 +1,11 @@
 """Declarative monitor configuration: one document, one deployment.
 
-The setup API had sprawled -- ``default_setup``, ``resilient_setup``,
-``fleet_setup``, each with its own keyword soup.  This package replaces
-the sprawl with data: a schema-versioned :class:`MonitorConfig`
-(``config_version: 1``, YAML or JSON) describing the cloud, scenario,
-monitor options, resilience policy, fleet shape, SLO catalog, alarm
-rules, and notification sinks; :func:`build_from_config` stands the
-whole thing up byte-identically to the legacy setup functions; and
-:func:`~repro.config.migrate.migrate` lifts pre-versioning flat
-documents forward, losslessly by digest.
+A schema-versioned :class:`MonitorConfig` (``config_version: 1``, YAML or
+JSON) describes the cloud, scenario, monitor options, resilience policy,
+fleet shape, SLO catalog, alarm rules, and notification sinks;
+:func:`build_from_config` stands the whole thing up -- the one way to
+build a deployment -- and :func:`~repro.config.migrate.migrate` lifts
+pre-versioning flat documents forward, losslessly by digest.
 
 >>> cfg = loads(open("monitor.yaml").read())   # doctest: +SKIP
 >>> cloud, monitor = build_from_config(cfg)    # doctest: +SKIP

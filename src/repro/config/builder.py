@@ -1,20 +1,17 @@
 """Build a running deployment from a :class:`MonitorConfig` alone.
 
-This is the config-as-data payoff: one declarative document stands up
-the cloud, the monitor (or sharded fleet), the resilience layer, the SLO
-catalog, and the alarm rules -- everything the sprawl of setup functions
-(``default_setup``, ``resilient_setup``, ``fleet_setup``) used to wire
-by hand.  Those functions are now thin shims over this module.
+This is the config-as-data payoff and the one way to stand up a
+deployment: one declarative document builds the cloud, the monitor (or
+sharded fleet), the resilience layer, the SLO catalog, and the alarm
+rules.
 
-Byte-parity is the contract: for a config equivalent to a legacy setup
-call, :func:`build_from_config` replicates the legacy construction
-*order* exactly -- manual clock (or Observability) first, then the
-cloud, then the monitor -- because every :class:`~repro.obs.clock.
-ManualClock` read advances virtual time, so an extra or reordered read
-would shift every later timestamp and break the recorded digest gates.
-``ResilientTransport`` construction reads no clock, which is why letting
-the monitor build its transport from ``options.resilience`` is
-byte-equivalent to the legacy pre-built-transport dance.
+Construction order is part of the contract -- manual clock (or
+Observability) first, then the cloud, then the monitor -- because every
+:class:`~repro.obs.clock.ManualClock` read advances virtual time, so an
+extra or reordered read would shift every later timestamp and break the
+recorded digest gates.  ``ResilientTransport`` construction reads no
+clock, which is why the monitor can build its own transport from
+``options.resilience``.
 """
 
 from __future__ import annotations
@@ -194,8 +191,7 @@ def _apply_alerting(monitor: CloudMonitor, config: MonitorConfig) -> None:
     Only runs off the defaults when the config actually customizes
     something: the default path must not rebuild the SLO engine, whose
     construction takes one clock reading (it would shift every later
-    timestamp under a manual clock and break digest parity with the
-    legacy setup functions).
+    timestamp under a manual clock and break the recorded digests).
     """
     slos = build_slos(config)
     windows = build_windows(config)
@@ -217,14 +213,13 @@ def build_fleet_from_config(config: MonitorConfig,
     ``build_from_config`` routes here for ``fleet.shards > 1``; calling
     this directly forces a fleet even at one shard (a single-shard fleet
     is still a fleet -- the dispatcher, merged views, and batched
-    flushing all apply -- which is what the legacy ``fleet_setup``
-    shim relies on).
+    flushing all apply).
     """
     config.require_valid()
     options = monitor_options(config)
     scenario = config.scenario
     extra = {"compiled": True} if scenario.compiled else {}
-    # Legacy fleet_setup order: shared clock, cloud, fleet.
+    # Order: shared clock, cloud, fleet.
     clock = build_clock(config)
     cloud = PrivateCloud.paper_setup(
         project_id=scenario.project_id,
@@ -251,10 +246,10 @@ def build_from_config(config: MonitorConfig,
     Returns ``(cloud, monitor)`` for ``fleet.shards == 1`` and
     ``(cloud, fleet)`` otherwise; with *register* the monitor's app (or
     the fleet) is registered on the cloud network under
-    ``scenario.register_as``, exactly as the legacy setup functions did.
-    A caller-held *observability* (single-monitor deployments only)
-    overrides the config's ``observability`` section -- the escape hatch
-    the ``default_setup`` shim uses to keep accepting a live object.
+    ``scenario.register_as``.  A caller-held *observability*
+    (single-monitor deployments only) overrides the config's
+    ``observability`` section, for callers that already hold the clock
+    and registries they want the monitor to report into.
     """
     if config.fleet.shards > 1:
         if observability is not None:
@@ -269,9 +264,9 @@ def build_from_config(config: MonitorConfig,
     scenario = config.scenario
     extra = {"compiled": True} if scenario.compiled else {}
 
-    # Legacy single-monitor order (resilient_setup): observability
-    # first -- its ManualClock must be constructed before the cloud --
-    # then the cloud, then the monitor.
+    # Single-monitor order: observability first -- its ManualClock must
+    # be constructed before the cloud -- then the cloud, then the
+    # monitor.
     if observability is None:
         clock = build_clock(config)
         observability = (Observability(clock=clock)

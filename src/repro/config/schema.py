@@ -505,6 +505,25 @@ class MonitorConfig:
             "sinks": [spec.to_dict() for spec in self.sinks],
         }
 
+    def with_delta(self, delta: Mapping[str, Any]) -> "MonitorConfig":
+        """This config with the partial document *delta* merged over it.
+
+        Mappings merge key by key and any other value replaces, so
+        ``{"fleet": {"shards": 4}}`` changes one field and keeps every
+        other.  The result is parsed as strictly as a loaded document.
+        """
+        def merge(base: Mapping[str, Any],
+                  over: Mapping[str, Any]) -> Dict[str, Any]:
+            merged = dict(base)
+            for key, value in over.items():
+                if isinstance(value, Mapping) and \
+                        isinstance(merged.get(key), Mapping):
+                    value = merge(merged[key], value)
+                merged[key] = value
+            return merged
+
+        return MonitorConfig.from_dict(merge(self.to_dict(), delta))
+
     # -- semantic validation ----------------------------------------------
 
     def validate(self) -> List[str]:

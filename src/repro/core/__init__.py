@@ -32,7 +32,7 @@ from .coverage import CoverageTracker
 from .fleet import MonitorFleet, ShardRouter, tenant_from_token
 from .mirror import MirrorDatabase, MirrorTable
 from .monitor import CloudMonitor, CloudStateProvider, MonitorVerdict, Verdict
-from .options import MonitorOptions, ResilienceOptions, resolve_options
+from .options import MonitorOptions, ResilienceOptions
 from .planning import PROBE_COSTS, PROBE_ROOTS, ProbePlan
 from .probecache import ProbeCache
 from .resilience import (
@@ -99,7 +99,6 @@ __all__ = [
     "cinder_resource_model",
     "read_log",
     "register_scenario",
-    "resolve_options",
     "scenario_names",
     "tenant_from_token",
     "transport_failure",

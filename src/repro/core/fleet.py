@@ -42,7 +42,7 @@ from ..obs import Observability, SLOEngine, TraceIdAllocator, merge_registries
 from ..alerting import SEVERITY_ORDER
 from .auditlog import verdict_to_json
 from .monitor import CloudMonitor, MonitorVerdict
-from .options import MonitorOptions, resolve_options
+from .options import MonitorOptions
 
 #: How a request is reduced to the key the router shards on.
 TenantKeyFn = Callable[[Request], str]
@@ -124,7 +124,6 @@ class MonitorFleet:
                     tenant_key: Optional[TenantKeyFn] = None,
                     transport_factory: Optional[
                         Callable[[int, Observability], Any]] = None,
-                    fanout: Optional[int] = None,
                     options: Optional[MonitorOptions] = None,
                     **kwargs) -> "MonitorFleet":
         """Build a fleet of *shards* monitors for a registered scenario.
@@ -136,15 +135,12 @@ class MonitorFleet:
         ``options.resilience`` gives each shard its own transport the
         same way).  All shards share one
         :class:`~repro.obs.tracing.TraceIdAllocator`.  *options* shapes
-        every shard; the ``fanout=`` / ``probe_cache=`` keywords still
-        fold in but are deprecated.  Remaining keyword arguments go to
-        the scenario builder (``enforcing``, ``probe_planning``, ...).
+        every shard (each builds its own probe cache and scheduler from
+        it).  Remaining keyword arguments go to the scenario builder
+        (``enforcing``, ``probe_planning``, ...).
         """
         if shards < 1:
             raise MonitorError("a fleet needs at least one shard")
-        options = resolve_options(options, fanout=fanout,
-                                  probe_cache=kwargs.pop("probe_cache",
-                                                         None))
         trace_ids = TraceIdAllocator()
         monitors = []
         for index in range(shards):
@@ -272,8 +268,8 @@ class MonitorFleet:
                 "probes": monitor.provider.probe_count,
                 "traces": monitor.obs.tracer.started_count,
                 "events": monitor.obs.events.emitted_count,
-                # Per-shard probe-cache counters (zeros when the fleet
-                # was built without probe_cache=True): each shard owns
+                # Per-shard probe-cache counters (None when the fleet
+                # was built without options.probe_cache): each shard owns
                 # its own ProbeCache, so hits never cross shards.
                 "probe_cache": (monitor.probe_cache.stats()
                                 if monitor.probe_cache is not None

@@ -144,8 +144,7 @@ def monitor_for_keystone(network: Network, project_id: str,
                          observability=None,
                          probe_planning: Optional[bool] = None,
                          transport=None,
-                         fanout: Optional[int] = None,
-                         options=None) -> CloudMonitor:
+                             options=None) -> CloudMonitor:
     """Assemble the identity-scenario monitor.
 
     Registered in the scenario registry as ``"keystone"``; prefer
@@ -171,5 +170,4 @@ def monitor_for_keystone(network: Network, project_id: str,
                         enforcing=enforcing, coverage=coverage,
                         observability=observability,
                         probe_planning=probe_planning,
-                        transport=transport, fanout=fanout,
-                        options=options)
+                        transport=transport, options=options)

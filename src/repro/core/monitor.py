@@ -33,8 +33,8 @@ from __future__ import annotations
 import copy
 import re
 import threading
-import warnings
 from contextlib import nullcontext
+from dataclasses import replace
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..alerting import AlarmEngine
@@ -57,7 +57,7 @@ from .admission import (
 from .contracts import MethodContract
 from .coverage import CoverageTracker
 from .mirror import MirrorDatabase
-from .options import MonitorOptions, resolve_options
+from .options import MonitorOptions
 from .planning import PROBE_COSTS, PROBE_ROOTS, ProbePlan
 from .probecache import ProbeCache
 from .resilience import ProbeFailure, transport_failure
@@ -224,10 +224,10 @@ class CloudStateProvider:
         self.cache_identity = cache_identity
         self._identity_cache: Dict[str, Dict[str, Any]] = {}
         #: Optional cross-request :class:`~repro.core.probecache.ProbeCache`
-        #: (the owning monitor installs one when built with
-        #: ``probe_cache=True``): untouched roots are served from cache
-        #: instead of re-probing, and the monitor evicts the dirty roots
-        #: after every forwarded mutation.
+        #: (the owning monitor installs one when its
+        #: ``options.probe_cache`` is set): untouched roots are served
+        #: from cache instead of re-probing, and the monitor evicts the
+        #: dirty roots after every forwarded mutation.
         self.probe_cache: Optional[ProbeCache] = None
 
     @property
@@ -733,18 +733,16 @@ class CloudMonitor:
                  observability: Optional[Observability] = None,
                  probe_planning: Optional[bool] = None,
                  transport=None,
-                 fanout: Optional[int] = None,
-                 probe_cache=None,
                  options: Optional[MonitorOptions] = None):
-        #: The resolved :class:`~repro.core.options.MonitorOptions` this
-        #: monitor was built with.  Pass ``options=`` directly; the
-        #: ``fanout=`` / ``probe_cache=`` keywords still fold in for one
-        #: release but warn :class:`DeprecationWarning`.
-        self.options = resolve_options(options, enforcing=enforcing,
-                                       probe_planning=probe_planning,
-                                       fanout=fanout,
-                                       probe_cache=probe_cache)
-        probe_cache = self.options.probe_cache
+        #: The :class:`~repro.core.options.MonitorOptions` this monitor
+        #: was built with; the ``enforcing`` / ``probe_planning``
+        #: keywords, when given, override the matching fields.
+        options = options if options is not None else MonitorOptions()
+        if enforcing is not None:
+            options = replace(options, enforcing=bool(enforcing))
+        if probe_planning is not None:
+            options = replace(options, probe_planning=bool(probe_planning))
+        self.options = options
         self.contracts = contracts
         self.provider = provider
         self.operations = list(operations)
@@ -756,18 +754,13 @@ class CloudMonitor:
         #: The ``roots`` keyword is part of the provider ``bindings``
         #: contract, so no capability sniffing happens here.
         self.probe_planning = bool(self.options.probe_planning)
-        #: Cross-request probe cache (see
-        #: :mod:`repro.core.probecache`).  ``True`` builds a fresh
-        #: instance, or pass a :class:`~repro.core.probecache.ProbeCache`
-        #: to install a specific one; ``None``/``False`` (the default)
-        #: keeps the uncached probe-everything-again behavior.  Each
-        #: fleet shard gets its own instance via the ``for_service``
-        #: keyword pass-through.
+        #: Cross-request probe cache (see :mod:`repro.core.probecache`),
+        #: built fresh for this monitor when ``options.probe_cache`` is
+        #: set -- so every fleet shard owns its own; ``None`` (the
+        #: default) keeps the uncached probe-everything-again behavior.
         self.probe_cache: Optional[ProbeCache] = None
-        if probe_cache:
-            self.probe_cache = (probe_cache
-                                if isinstance(probe_cache, ProbeCache)
-                                else ProbeCache())
+        if self.options.probe_cache:
+            self.probe_cache = ProbeCache()
             self.provider.probe_cache = self.probe_cache
         #: Optional local copy of the monitored resources (the runtime
         #: analogue of the generated models.py tables).
@@ -916,20 +909,6 @@ class CloudMonitor:
             self.slos, rules=rules, sinks=sinks,
             events=self.obs.events if sinks is None else None)
         return self.alarms
-
-    @classmethod
-    def for_cinder(cls, network: Network, project_id: str,
-                   **kwargs) -> "CloudMonitor":
-        """Deprecated alias for ``for_service("cinder", ...)``.
-
-        Kept for one release so existing callers keep working; new code
-        should name the scenario through :meth:`for_service`.
-        """
-        warnings.warn(
-            'CloudMonitor.for_cinder is deprecated; use '
-            'CloudMonitor.for_service("cinder", ...)',
-            DeprecationWarning, stacklevel=2)
-        return cls.for_service("cinder", network, project_id, **kwargs)
 
     def _install_routes(self) -> None:
         by_path: Dict[str, List[MonitoredOperation]] = {}

@@ -174,7 +174,6 @@ def monitor_for_nova(network: Network, project_id: str,
                      observability=None,
                      probe_planning: Optional[bool] = None,
                      transport=None,
-                     fanout: Optional[int] = None,
                      options=None) -> CloudMonitor:
     """Assemble the server-scenario monitor (the Cinder recipe, re-applied).
 
@@ -192,5 +191,4 @@ def monitor_for_nova(network: Network, project_id: str,
                         enforcing=enforcing, coverage=coverage,
                         observability=observability,
                         probe_planning=probe_planning,
-                        transport=transport, fanout=fanout,
-                        options=options)
+                        transport=transport, options=options)

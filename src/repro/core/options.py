@@ -1,34 +1,25 @@
 """Typed construction options for monitors and fleets.
 
-Historically every tuning knob travelled as its own keyword through the
-whole construction chain: ``probe_cache=`` and ``fanout=`` were threaded
-through ``CloudMonitor.__init__``, ``CloudMonitor.for_service``, every
-scenario builder, and ``MonitorFleet.for_service``, and resilience
-parameters (retry policy, breaker thresholds) had to be baked into a
-transport object by the caller.  Adding a knob meant touching five
-signatures.
-
-This module replaces the ad-hoc keywords with two frozen dataclasses:
+Two frozen dataclasses carry every tuning knob through the construction
+chain, so adding a knob touches one field instead of five signatures:
 
 * :class:`ResilienceOptions` -- the full retry + circuit-breaker
   parameter set, able to build a
   :class:`~repro.core.resilience.ResilientTransport` on demand;
 * :class:`MonitorOptions` -- everything that shapes one monitor shard
-  (mode, planning, fan-out, probe cache, resilience).
+  (mode, planning, fan-out, probe cache, resilience, overload controls,
+  sampling).
 
 ``CloudMonitor`` and ``MonitorFleet`` accept a single ``options=``
-object; the old keywords are still accepted for one release but warn
-:class:`DeprecationWarning` (see :func:`resolve_options`).  A
-:class:`~repro.config.MonitorConfig` derives its options through
-:func:`repro.config.builder.monitor_options`, making config the one
-construction path.
+object.  A :class:`~repro.config.MonitorConfig` derives its options
+through :func:`repro.config.builder.monitor_options`; deployments are
+built from a config, and ``options=`` is the low-level hook under it.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..errors import MonitorError
 from ..obs.sampling import SamplingOptions
@@ -97,9 +88,9 @@ class MonitorOptions:
     * ``probe_planning`` -- demand-driven probe plans (the default)
       versus the paper's probe-everything rounds;
     * ``fanout`` -- concurrent probe fan-out width (1 = serial);
-    * ``probe_cache`` -- cross-request probe cache: ``False`` off,
-      ``True`` a fresh :class:`~repro.core.probecache.ProbeCache`, or a
-      specific instance to install;
+    * ``probe_cache`` -- when true, the monitor builds its own
+      cross-request :class:`~repro.core.probecache.ProbeCache` (one per
+      fleet shard, never shared);
     * ``resilience`` -- when set, the monitor builds its own
       :class:`~repro.core.resilience.ResilientTransport` from these
       parameters (unless an explicit transport is installed);
@@ -116,7 +107,7 @@ class MonitorOptions:
     enforcing: bool = True
     probe_planning: bool = True
     fanout: int = 1
-    probe_cache: Any = False
+    probe_cache: bool = False
     resilience: Optional[ResilienceOptions] = None
     deadline: Optional[DeadlineOptions] = None
     admission: Optional[AdmissionOptions] = None
@@ -128,44 +119,3 @@ class MonitorOptions:
             raise MonitorError(
                 f"fanout must be >= 1, got {self.fanout}")
 
-
-#: The keywords that now live in :class:`MonitorOptions`; passing them
-#: directly keeps working for one release but warns.
-_DEPRECATED_KEYWORDS = ("fanout", "probe_cache")
-
-
-def resolve_options(options: Optional[MonitorOptions] = None,
-                    enforcing: Optional[bool] = None,
-                    probe_planning: Optional[bool] = None,
-                    fanout: Optional[int] = None,
-                    probe_cache: Any = None,
-                    stacklevel: int = 3) -> MonitorOptions:
-    """Fold legacy keywords into a :class:`MonitorOptions`.
-
-    *options* provides the base (``MonitorOptions()`` when ``None``);
-    any legacy keyword passed as non-``None`` overrides the
-    corresponding field.  ``fanout`` and ``probe_cache`` are the
-    deprecated ad-hoc keywords -- using them warns
-    :class:`DeprecationWarning` pointing at the options field.
-    ``enforcing`` and ``probe_planning`` stay first-class keywords on
-    the constructors (they predate the options object and read well at
-    call sites), so overriding them here never warns.
-    """
-    resolved = options if options is not None else MonitorOptions()
-    if enforcing is not None:
-        resolved = replace(resolved, enforcing=bool(enforcing))
-    if probe_planning is not None:
-        resolved = replace(resolved, probe_planning=bool(probe_planning))
-    if fanout is not None:
-        warnings.warn(
-            "the fanout= keyword is deprecated; pass "
-            "options=MonitorOptions(fanout=...) instead",
-            DeprecationWarning, stacklevel=stacklevel)
-        resolved = replace(resolved, fanout=int(fanout))
-    if probe_cache is not None and probe_cache is not False:
-        warnings.warn(
-            "the probe_cache= keyword is deprecated; pass "
-            "options=MonitorOptions(probe_cache=...) instead",
-            DeprecationWarning, stacklevel=stacklevel)
-        resolved = replace(resolved, probe_cache=probe_cache)
-    return resolved

@@ -30,12 +30,12 @@ Design points, in decreasing order of how much they matter:
   is not an observation of cloud state; only successful bindings enter
   the cache.
 
-Instances are **not** shared across monitors: each
-:class:`~repro.core.fleet.MonitorFleet` shard builds its own (pass
-``probe_cache=True`` through ``for_service``), keeping shard isolation
-intact.  The owning monitor reports the
-``monitor_probe_cache_{hits,misses,invalidations}_total`` metric family
-from the counters this class maintains.
+Instances are **not** shared across monitors: every monitor built with
+``MonitorOptions(probe_cache=True)`` (``monitor.probe_cache: true`` in a
+config) builds its own, so each :class:`~repro.core.fleet.MonitorFleet`
+shard has a private cache and shard isolation stays intact.  The owning
+monitor reports the ``monitor_probe_cache_{hits,misses,invalidations}_total``
+metric family from the counters this class maintains.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 The paper's approach is scenario-generic -- experts model whichever
 critical service they care about (Section VI-B) -- but the reproduction
-historically grew one bespoke constructor per service
-(``CloudMonitor.for_cinder``, ``monitor_for_nova``, ...).  This module
+historically grew one bespoke constructor per service.  This module
 collapses them behind one registry: a scenario is a *name* plus a builder
 ``(network, project_id, **kwargs) -> CloudMonitor``, and
 
@@ -79,8 +78,6 @@ def _build_cinder(network: Network, project_id: str,
                   observability: Optional[Observability] = None,
                   probe_planning: Optional[bool] = None,
                   transport=None,
-                  fanout: Optional[int] = None,
-                  probe_cache=None,
                   options=None) -> CloudMonitor:
     """The paper's monitor for the Cinder volume scenario.
 
@@ -110,8 +107,7 @@ def _build_cinder(network: Network, project_id: str,
                         enforcing=enforcing, coverage=coverage,
                         mirror=mirror, observability=observability,
                         probe_planning=probe_planning,
-                        transport=transport, fanout=fanout,
-                        probe_cache=probe_cache, options=options)
+                        transport=transport, options=options)
 
 
 def _build_nova(network: Network, project_id: str,

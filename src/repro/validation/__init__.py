@@ -15,8 +15,8 @@ from .campaign import (
     CampaignResult,
     KillRecord,
     MutationCampaign,
-    default_setup,
     measure_probe_rate,
+    paper_config,
     release2_setup,
 )
 from .chaos import (
@@ -25,14 +25,11 @@ from .chaos import (
     ChaosRun,
     assert_breaker_sequence,
     assert_indeterminate_degradation,
+    chaos_config,
     flaky_program,
-    fleet_setup,
     recoverable_program,
-    resilient_setup,
     run_breaker_sequence,
-    run_cache_parity_campaign,
     run_chaos_campaign,
-    run_fleet_leg,
     run_leg,
     unrecoverable_program,
 )
@@ -82,20 +79,17 @@ __all__ = [
     "assert_indeterminate_degradation",
     "assert_sampling_invariants",
     "burst_config",
-    "default_setup",
+    "chaos_config",
     "flaky_program",
-    "fleet_setup",
     "generous_config",
     "make_burst_trace",
     "make_calm_trace",
     "measure_probe_rate",
     "overload_config",
+    "paper_config",
     "recoverable_program",
-    "resilient_setup",
     "run_burst_campaign",
-    "run_cache_parity_campaign",
     "run_chaos_campaign",
-    "run_fleet_leg",
     "run_leg",
     "run_overload_leg",
     "run_parity_campaign",

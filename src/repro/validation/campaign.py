@@ -12,10 +12,10 @@ baseline must be violation-free for the campaign to be meaningful.
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..cloud import Mutant, PrivateCloud
+from ..config import MonitorConfig, MonitorSection, build_from_config
 from ..core.monitor import CloudMonitor
 from ..errors import ValidationError
 from .oracle import BatteryStep, TestOracle, standard_battery
@@ -25,65 +25,19 @@ from .oracle import BatteryStep, TestOracle, standard_battery
 SetupFactory = Callable[[], Tuple[PrivateCloud, CloudMonitor]]
 
 
-def _campaign_config(enforcing: bool = False,
-                     volume_quota: int = 5,
-                     probe_planning: bool = True,
-                     probe_cache: bool = False):
-    """The paper's audit-mode deployment as a declarative config."""
-    from ..config import CloudSection, MonitorConfig, MonitorSection
+def paper_config(**monitor: Any) -> MonitorConfig:
+    """The paper's setup as a config: myProject cloud + Cinder monitor.
 
-    return MonitorConfig(
-        cloud=CloudSection(volume_quota=volume_quota),
-        monitor=MonitorSection(enforcing=enforcing,
-                               probe_planning=probe_planning,
-                               probe_cache=probe_cache))
-
-
-def _default_setup(enforcing: bool = False,
-                   volume_quota: int = 5,
-                   observability=None,
-                   probe_planning: bool = True,
-                   probe_cache: bool = False,
-                   ) -> Tuple[PrivateCloud, CloudMonitor]:
-    """The non-deprecated core of :func:`default_setup` (internal use)."""
-    from ..config import build_from_config
-
-    return build_from_config(
-        _campaign_config(enforcing=enforcing, volume_quota=volume_quota,
-                         probe_planning=probe_planning,
-                         probe_cache=probe_cache),
-        observability=observability)
-
-
-def default_setup(enforcing: bool = False,
-                  volume_quota: int = 5,
-                  observability=None,
-                  probe_planning: bool = True,
-                  probe_cache: bool = False,
-                  ) -> Tuple[PrivateCloud, CloudMonitor]:
-    """The paper's setup: myProject cloud + Cinder monitor in audit mode.
-
-    .. deprecated:: PR8
-       A thin shim over :func:`repro.config.build_from_config`; build a
-       :class:`~repro.config.MonitorConfig` instead.  Verdict and audit
-       digests are byte-identical either way (the parity gates pin it).
-
-    Audit mode is the test-oracle configuration: requests are forwarded
+    The monitor runs in audit mode unless *monitor* says otherwise: audit
+    mode is the test-oracle configuration, where requests are forwarded
     even when the pre-condition fails, so wrong *acceptance* by the cloud
-    is observable (that is how escalation mutants die).  Pass an
-    :class:`repro.obs.Observability` to collect the session's metrics and
-    traces under an injected clock.  *probe_cache* installs the
-    cross-request :class:`~repro.core.probecache.ProbeCache` -- verdicts
-    must not change (the cache-parity gate), only the probe count.
+    is observable (that is how escalation mutants die).  *monitor*
+    overrides fields of the ``monitor`` section (``enforcing``,
+    ``probe_planning``, ``probe_cache``, ``fanout``).  Build it with
+    :func:`repro.config.build_from_config`.
     """
-    warnings.warn(
-        "default_setup is deprecated; describe the deployment with a "
-        "repro.config.MonitorConfig and call build_from_config",
-        DeprecationWarning, stacklevel=2)
-    return _default_setup(enforcing=enforcing, volume_quota=volume_quota,
-                          observability=observability,
-                          probe_planning=probe_planning,
-                          probe_cache=probe_cache)
+    return MonitorConfig(
+        monitor=MonitorSection(**{"enforcing": False, **monitor}))
 
 
 def measure_probe_rate(count: int = 60, seed: int = 42,
@@ -99,8 +53,8 @@ def measure_probe_rate(count: int = 60, seed: int = 42,
     from ..workloads import WorkloadRunner, make_workload
 
     workload = make_workload(count, seed=seed)
-    cloud, monitor = _default_setup(probe_planning=probe_planning,
-                                    probe_cache=probe_cache)
+    cloud, monitor = build_from_config(paper_config(
+        probe_planning=probe_planning, probe_cache=probe_cache))
     runner = WorkloadRunner(cloud, monitor)
     runner.execute(workload, monitored=True)
     result = {
@@ -202,7 +156,7 @@ class MutationCampaign:
 
     def __init__(self, setup: Optional[SetupFactory] = None,
                  battery: Optional[List[BatteryStep]] = None):
-        self.setup = setup or _default_setup
+        self.setup = setup or (lambda: build_from_config(paper_config()))
         self.battery = battery or standard_battery()
 
     def run_baseline(self) -> bool:

@@ -12,21 +12,22 @@ design demands is two-sided:
   monitored request must degrade to the ``indeterminate`` verdict --
   never an unhandled exception, never a spurious valid/invalid.
 
-Both campaigns run the same seeded workload on the same deterministic
-stack (seeded RNG, in-process network, ManualClock), so
-``scripts/check_chaos_parity.py`` can gate on the exact digest of the
-verdict rows.
+Every leg runs the same seeded workload on the same deterministic stack
+(seeded RNG, in-process network, ManualClock) built from
+:func:`chaos_config` plus a config delta, so
+``scripts/check_parity_matrix.py`` can gate every deployment shape on
+the exact digest of the verdict rows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..cloud import PrivateCloud
-from ..core import CloudMonitor, MonitorFleet, RetryPolicy, Verdict
+from ..config import (MonitorConfig, MonitorSection, ObservabilitySection,
+                      ResilienceSection, build_from_config)
+from ..core import CloudMonitor, Verdict
 from ..core.auditlog import verdict_to_json
 from ..httpsim import FailN, Flake, FaultProgram, by_path
 from ..workloads import WorkloadRunner, make_workload
@@ -36,128 +37,21 @@ from ..workloads import WorkloadRunner, make_workload
 CHAOS_HOSTS: Tuple[str, ...] = ("cinder", "keystone")
 
 
-def _chaos_policy(policy: Optional[RetryPolicy]) -> RetryPolicy:
-    """The campaign's seeded retry policy (shared by every leg shape)."""
-    return policy or RetryPolicy(max_attempts=3, base_delay=0.05, seed=11)
+def chaos_config(delta: Optional[Mapping[str, Any]] = None
+                 ) -> MonitorConfig:
+    """The chaos deployment as data, with *delta* merged over it.
 
-
-def _chaos_config(enforcing: bool = False,
-                  volume_quota: int = 5,
-                  policy: Optional[RetryPolicy] = None,
-                  failure_threshold: int = 5,
-                  recovery_time: float = 30.0,
-                  fanout: int = 1,
-                  probe_cache: bool = False,
-                  shards: int = 1,
-                  router_seed: int = 0):
-    """The chaos deployment (resilient transport, manual clock) as data."""
-    from ..config import (CloudSection, FleetSection, MonitorConfig,
-                          MonitorSection, ObservabilitySection,
-                          ResilienceSection)
-
-    retry = _chaos_policy(policy)
-    return MonitorConfig(
-        cloud=CloudSection(volume_quota=volume_quota),
-        monitor=MonitorSection(enforcing=enforcing, fanout=fanout,
-                               probe_cache=probe_cache),
+    The reference: the paper cloud and the Cinder monitor in audit mode
+    on a ManualClock (backoff waits advance virtual time instead of
+    sleeping), behind a resilient transport with retry seed 11.  *delta*
+    is a partial config document (see :meth:`MonitorConfig.with_delta`),
+    e.g. ``{"fleet": {"shards": 4}, "monitor": {"fanout": 4}}``.
+    """
+    config = MonitorConfig(
+        monitor=MonitorSection(enforcing=False),
         observability=ObservabilitySection(clock="manual"),
-        resilience=ResilienceSection(
-            enabled=True,
-            max_attempts=retry.max_attempts,
-            base_delay=retry.base_delay,
-            multiplier=retry.multiplier,
-            max_delay=retry.max_delay,
-            jitter=retry.jitter,
-            seed=retry.seed,
-            failure_threshold=failure_threshold,
-            recovery_time=recovery_time),
-        fleet=FleetSection(shards=shards, router_seed=router_seed))
-
-
-def _resilient_setup(**kwargs) -> Tuple[PrivateCloud, CloudMonitor]:
-    """The non-deprecated core of :func:`resilient_setup` (internal)."""
-    from ..config import build_from_config
-
-    return build_from_config(_chaos_config(**kwargs))
-
-
-def resilient_setup(enforcing: bool = False,
-                    volume_quota: int = 5,
-                    policy: Optional[RetryPolicy] = None,
-                    failure_threshold: int = 5,
-                    recovery_time: float = 30.0,
-                    fanout: int = 1,
-                    probe_cache: bool = False,
-                    ) -> Tuple[PrivateCloud, CloudMonitor]:
-    """The paper setup with a ResilientTransport under the monitor.
-
-    .. deprecated:: PR8
-       A thin shim over :func:`repro.config.build_from_config` with a
-       ``resilience.enabled`` config; the chaos-parity digests are
-       byte-identical either way.
-
-    Everything is deterministic: ManualClock observability (backoff waits
-    advance virtual time instead of sleeping) and a seeded retry jitter.
-    *fanout* > 1 issues each probe phase's independent probes
-    concurrently -- the verdict stream must not change, which is exactly
-    what the fan-out parity gate checks.
-    """
-    warnings.warn(
-        "resilient_setup is deprecated; describe the deployment with a "
-        "repro.config.MonitorConfig (resilience.enabled: true) and call "
-        "build_from_config",
-        DeprecationWarning, stacklevel=2)
-    return _resilient_setup(enforcing=enforcing, volume_quota=volume_quota,
-                            policy=policy,
-                            failure_threshold=failure_threshold,
-                            recovery_time=recovery_time, fanout=fanout,
-                            probe_cache=probe_cache)
-
-
-def _fleet_setup(shards: int = 4, **kwargs
-                 ) -> Tuple[PrivateCloud, MonitorFleet]:
-    """The non-deprecated core of :func:`fleet_setup` (internal).
-
-    Always a fleet, even at one shard -- callers get the dispatcher and
-    merged views regardless of width.
-    """
-    from ..config import build_fleet_from_config
-
-    return build_fleet_from_config(_chaos_config(shards=shards, **kwargs))
-
-
-def fleet_setup(shards: int = 4,
-                enforcing: bool = False,
-                volume_quota: int = 5,
-                policy: Optional[RetryPolicy] = None,
-                failure_threshold: int = 5,
-                recovery_time: float = 30.0,
-                fanout: int = 1,
-                router_seed: int = 0,
-                probe_cache: bool = False,
-                ) -> Tuple[PrivateCloud, MonitorFleet]:
-    """The paper setup behind a sharded :class:`MonitorFleet`.
-
-    .. deprecated:: PR8
-       A thin shim over :func:`repro.config.build_from_config` with
-       ``fleet.shards`` > 1; the fan-out parity digests are
-       byte-identical either way.
-
-    One shared ManualClock, one shared trace-id allocator (inside the
-    fleet builder), and one *independent* ResilientTransport per shard:
-    breaker and retry state never crosses shards, yet serially dispatched
-    traffic reproduces the single-monitor verdict stream byte for byte.
-    """
-    warnings.warn(
-        "fleet_setup is deprecated; describe the deployment with a "
-        "repro.config.MonitorConfig (fleet.shards > 1) and call "
-        "build_from_config",
-        DeprecationWarning, stacklevel=2)
-    return _fleet_setup(shards=shards, enforcing=enforcing,
-                        volume_quota=volume_quota, policy=policy,
-                        failure_threshold=failure_threshold,
-                        recovery_time=recovery_time, fanout=fanout,
-                        router_seed=router_seed, probe_cache=probe_cache)
+        resilience=ResilienceSection(enabled=True, seed=11))
+    return config.with_delta(delta) if delta else config
 
 
 def recoverable_program() -> FaultProgram:
@@ -240,71 +134,38 @@ class ChaosReport:
         }
 
 
-def run_leg(count: int = 40, seed: int = 7,
+def run_leg(config: MonitorConfig, count: int = 40, seed: int = 7,
             fault_factory: Optional[Callable[[], FaultProgram]] = None,
-            enforcing: bool = False, fanout: int = 1,
-            probe_cache: bool = False) -> ChaosRun:
-    """Run the seeded workload once, optionally under a fault program.
+            ) -> ChaosRun:
+    """Run the seeded workload once through *config*'s deployment.
 
-    A *fresh* cloud + monitor per leg: chaos must never leak state into
-    the baseline it is compared against.  *fanout* > 1 runs the same
-    workload with concurrent probe fan-out -- the rows must not change.
-    *probe_cache* enables the cross-request probe cache -- the rows must
-    not change either (the cache-parity gate).
+    A *fresh* cloud + monitor (or fleet, for ``fleet.shards > 1``) per
+    leg: chaos must never leak state into the baseline it is compared
+    against.  *fault_factory*, when given, installs a fresh fault program
+    on every :data:`CHAOS_HOSTS` host.  A fleet's verdict rows are its
+    merged, arrival-ordered log; its counters sum over the shards.
     """
-    cloud, monitor = _resilient_setup(enforcing=enforcing, fanout=fanout,
-                                     probe_cache=probe_cache)
+    cloud, deployment = build_from_config(config)
+    monitors = getattr(deployment, "shards", [deployment])
     try:
         if fault_factory is not None:
             for host in CHAOS_HOSTS:
                 cloud.network.inject_fault(host, fault_factory())
-        runner = WorkloadRunner(cloud, monitor)
-        histogram = runner.execute(make_workload(count, seed=seed),
-                                   monitored=True)
-        metrics = monitor.obs.metrics
+        histogram = WorkloadRunner(cloud).execute(
+            make_workload(count, seed=seed), monitored=True)
         return ChaosRun(
-            rows=[verdict_to_json(verdict) for verdict in monitor.log],
+            rows=[verdict_to_json(verdict) for verdict in deployment.log],
             histogram=histogram,
-            retries=metrics.total("monitor_retries_total"),
-            indeterminate=int(
-                metrics.counter_value("monitor_indeterminate_total")),
-            probe_count=monitor.provider.probe_count)
-    finally:
-        monitor.close()
-
-
-def run_fleet_leg(count: int = 40, seed: int = 7,
-                  fault_factory: Optional[Callable[[], FaultProgram]] = None,
-                  enforcing: bool = False,
-                  shards: int = 4, fanout: int = 1,
-                  probe_cache: bool = False) -> ChaosRun:
-    """Run the seeded workload through a sharded fleet.
-
-    Same workload, same deterministic stack, but traffic is partitioned
-    across *shards* monitors behind the fleet dispatcher.  The merged,
-    arrival-ordered verdict rows must be byte-identical to the serial
-    single-monitor leg -- the fleet half of the parity gate.
-    """
-    cloud, fleet = _fleet_setup(shards=shards, enforcing=enforcing,
-                               fanout=fanout, probe_cache=probe_cache)
-    try:
-        if fault_factory is not None:
-            for host in CHAOS_HOSTS:
-                cloud.network.inject_fault(host, fault_factory())
-        runner = WorkloadRunner(cloud)
-        histogram = runner.execute(make_workload(count, seed=seed),
-                                   monitored=True)
-        merged = fleet.merged_metrics()
-        return ChaosRun(
-            rows=[verdict_to_json(verdict) for verdict in fleet.log],
-            histogram=histogram,
-            retries=merged.total("monitor_retries_total"),
-            indeterminate=int(
-                merged.counter_value("monitor_indeterminate_total")),
+            retries=sum(monitor.obs.metrics.total("monitor_retries_total")
+                        for monitor in monitors),
+            indeterminate=int(sum(
+                monitor.obs.metrics.counter_value(
+                    "monitor_indeterminate_total")
+                for monitor in monitors)),
             probe_count=sum(monitor.provider.probe_count
-                            for monitor in fleet.shards))
+                            for monitor in monitors))
     finally:
-        fleet.close()
+        deployment.close()
 
 
 def run_chaos_campaign(count: int = 40, seed: int = 7,
@@ -316,28 +177,11 @@ def run_chaos_campaign(count: int = 40, seed: int = 7,
     The default fault program is :func:`recoverable_program`, for which
     the report must come back with ``parity=True``.
     """
-    baseline = run_leg(count, seed, None)
-    faulted = run_leg(count, seed,
+    baseline = run_leg(chaos_config(), count, seed)
+    faulted = run_leg(chaos_config(), count, seed,
                       fault_factory if fault_factory is not None
                       else recoverable_program)
     return ChaosReport(baseline, faulted)
-
-
-def run_cache_parity_campaign(count: int = 40, seed: int = 7,
-                              fault_factory: Optional[
-                                  Callable[[], FaultProgram]] = None,
-                              ) -> ChaosReport:
-    """Uncached serial leg vs. the same workload with the probe cache.
-
-    The cross-request :class:`~repro.core.probecache.ProbeCache` must be
-    invisible to the verdict stream: serving untouched roots from cache
-    and re-probing after every mutation has to produce byte-identical
-    verdict rows, fault program or not.  The report's ``baseline`` is the
-    uncached leg, ``faulted`` the cached one; ``parity`` is the gate.
-    """
-    uncached = run_leg(count, seed, fault_factory)
-    cached = run_leg(count, seed, fault_factory, probe_cache=True)
-    return ChaosReport(uncached, cached)
 
 
 #: The breaker lifecycle a recovery must walk, as (from, to) transitions:
@@ -364,8 +208,9 @@ def run_breaker_sequence(failure_threshold: int = 2,
     campaign asserts instead of sampling the ``monitor_breaker_state``
     gauge between requests.
     """
-    cloud, monitor = _resilient_setup(failure_threshold=failure_threshold,
-                                     recovery_time=recovery_time)
+    cloud, monitor = build_from_config(chaos_config({"resilience": {
+        "failure_threshold": failure_threshold,
+        "recovery_time": recovery_time}}))
     token = cloud.paper_tokens()["alice"]
     url = "http://cmonitor/cmonitor/volumes"
 
@@ -415,7 +260,7 @@ def assert_indeterminate_degradation(count: int = 20, seed: int = 7,
     when any request produced something other than a clean
     ``indeterminate`` verdict.
     """
-    leg = run_leg(count, seed, unrecoverable_program)
+    leg = run_leg(chaos_config(), count, seed, unrecoverable_program)
     verdicts = [json.loads(row)["verdict"] for row in leg.rows]
     unexpected = sorted(set(verdicts) - {Verdict.INDETERMINATE})
     assert not unexpected, (

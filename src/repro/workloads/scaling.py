@@ -213,7 +213,7 @@ def measure_fleet_throughput(shards: int,
     fleet = MonitorFleet.for_service(
         "cinder", cloud.network, "myProject", shards=shards,
         router_seed=router_seed, tenant_key=tenant_header_key,
-        fanout=fanout)
+        options=MonitorOptions(fanout=fanout))
     tokens = sorted(cloud.paper_tokens().values())
     tenants = balanced_tenants(fleet.router)
 

@@ -1,12 +1,9 @@
-"""Building deployments from config alone, byte-identical to the
-legacy setup helpers.
+"""Building deployments from config alone.
 
-The acceptance property for the config path: the same seeded workload
-through a config-built monitor (and a config-built 4-shard fleet)
-produces exactly the verdict rows the deprecated setup shims produce,
-on a clean leg and under recoverable faults.  ``scripts/
-check_fanout_parity.py`` pins the absolute bytes against the recorded
-baseline; these tests pin the equivalence between the two APIs.
+``scripts/check_parity_matrix.py`` pins the absolute verdict bytes of
+every deployment shape against the recorded baseline; these tests pin
+the builder's pieces and that a config-built fleet and single monitor
+agree.
 """
 
 import hashlib
@@ -26,15 +23,10 @@ from repro.config import (
 from repro.core import CloudMonitor, MonitorFleet
 from repro.core.auditlog import verdict_to_json
 from repro.errors import ConfigError
-from repro.obs import ManualClock, Observability
 from repro.httpsim import Request
+from repro.obs import ManualClock, Observability
 from repro.obs.slo import BucketCount, CounterTotal, Linear, ObservationCount
-from repro.validation.chaos import (
-    CHAOS_HOSTS,
-    fleet_setup,
-    recoverable_program,
-    resilient_setup,
-)
+from repro.validation.chaos import CHAOS_HOSTS, recoverable_program
 from repro.workloads import WorkloadRunner, make_workload
 
 COUNT, SEED = 16, 7
@@ -64,42 +56,17 @@ def run_rows(cloud, deployment, faulted=False):
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
-class TestDigestParityWithLegacyShims:
-    @pytest.mark.parametrize("faulted", [False, True],
-                             ids=["clean", "faulted"])
-    def test_single_monitor_matches_resilient_setup(self, faulted):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_rows(*resilient_setup(), faulted=faulted)
-        config = run_rows(*build_from_config(chaos_config()),
-                          faulted=faulted)
-        assert config == legacy
-
-    @pytest.mark.parametrize("faulted", [False, True],
-                             ids=["clean", "faulted"])
-    def test_fleet_matches_fleet_setup(self, faulted):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_rows(*fleet_setup(shards=4), faulted=faulted)
-        config = run_rows(*build_from_config(chaos_config(shards=4)),
-                          faulted=faulted)
-        assert config == legacy
-
+class TestDigestParity:
     def test_fleet_and_single_agree(self):
         single = run_rows(*build_from_config(chaos_config()))
         fleet = run_rows(*build_from_config(chaos_config(shards=4)))
         assert fleet == single
 
-    def test_default_setup_shim_warns_and_matches_config(self):
-        from repro.validation import default_setup
-
-        audit = MonitorConfig.from_dict({
-            "config_version": 1, "monitor": {"enforcing": False},
-            "observability": {"clock": "manual"}})
-        with pytest.warns(DeprecationWarning, match="build_from_config"):
-            legacy = run_rows(*default_setup(
-                enforcing=False,
-                observability=Observability(clock=ManualClock())))
-        config = run_rows(*build_from_config(audit))
-        assert config == legacy
+    def test_fleet_and_single_agree_under_recoverable_faults(self):
+        single = run_rows(*build_from_config(chaos_config()), faulted=True)
+        fleet = run_rows(*build_from_config(chaos_config(shards=4)),
+                         faulted=True)
+        assert fleet == single
 
 
 class TestBuildPieces:

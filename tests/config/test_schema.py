@@ -164,3 +164,22 @@ class TestDigestDocument:
         assert text.endswith("\n")
         data = json.loads(text)
         assert list(data) == sorted(data)
+
+
+class TestWithDelta:
+    def test_delta_overrides_only_the_named_fields(self):
+        base = sample_config()
+        merged = base.with_delta({"fleet": {"shards": 2},
+                                  "monitor": {"fanout": 1}})
+        assert merged.fleet == FleetSection(shards=2, router_seed=3)
+        assert merged.monitor == MonitorSection(
+            enforcing=False, fanout=1, probe_cache=True)
+        assert merged.cloud == base.cloud
+        assert merged.alarms == base.alarms
+
+    def test_empty_delta_round_trips(self):
+        assert sample_config().with_delta({}) == sample_config()
+
+    def test_delta_is_parsed_strictly(self):
+        with pytest.raises(ConfigError):
+            MonitorConfig().with_delta({"monitor": {"fan_out": 4}})

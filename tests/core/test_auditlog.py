@@ -6,18 +6,19 @@ import json
 import pytest
 
 from repro.cloud import PrivateCloud, paper_mutants
+from repro.config import build_from_config
 from repro.core import CloudMonitor, read_log, write_log
 from repro.core.auditlog import verdict_from_json, verdict_to_json
 from repro.core.monitor import CloudStateProvider, MonitorVerdict
 from repro.uml import Trigger
 from repro.errors import MonitorError
-from repro.validation import TestOracle, default_setup, localize
+from repro.validation import TestOracle, paper_config, localize
 
 MONITOR = "http://cmonitor/cmonitor/volumes"
 
 
 def run_session(mutant=None):
-    cloud, monitor = default_setup()
+    cloud, monitor = build_from_config(paper_config())
     if mutant is not None:
         mutant.apply(cloud)
     TestOracle(cloud, monitor).run()
@@ -178,8 +179,8 @@ class TestIdentityCache:
 
     def test_monitored_session_with_cache_is_equivalent(self):
         cloud = PrivateCloud.paper_setup()
-        monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                          enforcing=False)
+        monitor = CloudMonitor.for_service(
+            "cinder", cloud.network, "myProject", enforcing=False)
         monitor.provider.cache_identity = True
         cloud.network.register("cmonitor", monitor.app)
         oracle = TestOracle(cloud, monitor)

@@ -12,8 +12,8 @@ from repro.errors import MonitorError
 def setup():
     cloud = PrivateCloud.paper_setup()
     tokens = cloud.paper_tokens()
-    cinder_monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                             enforcing=True)
+    cinder_monitor = CloudMonitor.for_service(
+        "cinder", cloud.network, "myProject", enforcing=True)
     nova_monitor = monitor_for_nova(cloud.network, "myProject",
                                     enforcing=True)
     composite = CompositeMonitor([cinder_monitor, nova_monitor])
@@ -95,8 +95,8 @@ class TestThreeScenarioDeployment:
         cloud = PrivateCloud.paper_setup()
         tokens = cloud.paper_tokens()
         composite = CompositeMonitor([
-            CloudMonitor.for_cinder(cloud.network, "myProject",
-                                    enforcing=True),
+            CloudMonitor.for_service(
+                "cinder", cloud.network, "myProject", enforcing=True),
             monitor_for_nova(cloud.network, "myProject", enforcing=True),
             monitor_for_keystone(cloud.network, "myProject",
                                  enforcing=True),
@@ -123,15 +123,18 @@ class TestConstruction:
 
     def test_clashing_mounts_rejected(self):
         cloud = PrivateCloud.paper_setup()
-        first = CloudMonitor.for_cinder(cloud.network, "myProject")
-        second = CloudMonitor.for_cinder(cloud.network, "myProject")
+        first = CloudMonitor.for_service("cinder", cloud.network,
+                                         "myProject")
+        second = CloudMonitor.for_service("cinder", cloud.network,
+                                          "myProject")
         with pytest.raises(MonitorError):
             CompositeMonitor([first, second])
 
     def test_single_monitor_composite(self):
         cloud = PrivateCloud.paper_setup()
         tokens = cloud.paper_tokens()
-        only = CloudMonitor.for_cinder(cloud.network, "myProject")
+        only = CloudMonitor.for_service("cinder", cloud.network,
+                                        "myProject")
         composite = CompositeMonitor([only])
         cloud.network.register("monitor", composite.app)
         client = cloud.client(tokens["carol"])

@@ -22,9 +22,9 @@ import json
 import pytest
 
 from repro.validation import (
+    chaos_config,
     flaky_program,
     recoverable_program,
-    run_fleet_leg,
     run_leg,
     unrecoverable_program,
 )
@@ -34,25 +34,32 @@ SEED = 7
 SHARDS = 3
 FANOUT = 4
 
+#: The four execution shapes, as config deltas over the chaos reference.
+SHAPES = {
+    "serial": {},
+    "fanout": {"monitor": {"fanout": FANOUT}},
+    "fleet": {"fleet": {"shards": SHARDS}},
+    "fleet+fanout": {"fleet": {"shards": SHARDS},
+                     "monitor": {"fanout": FANOUT}},
+}
+
+
+def leg(shape, fault_factory=None):
+    return run_leg(chaos_config(SHAPES[shape]), COUNT, SEED, fault_factory)
+
 
 def legs(fault_factory=None):
     """The four execution shapes over one identical seeded workload."""
-    return {
-        "serial": run_leg(COUNT, SEED, fault_factory),
-        "fanout": run_leg(COUNT, SEED, fault_factory, fanout=FANOUT),
-        "fleet": run_fleet_leg(COUNT, SEED, fault_factory, shards=SHARDS),
-        "fleet+fanout": run_fleet_leg(COUNT, SEED, fault_factory,
-                                      shards=SHARDS, fanout=FANOUT),
-    }
+    return {shape: leg(shape, fault_factory) for shape in SHAPES}
 
 
 def assert_all_identical(runs):
     reference = runs["serial"]
     assert reference.rows, "the workload must produce verdicts"
-    for name, leg in runs.items():
-        assert leg.rows == reference.rows, (
+    for name, run in runs.items():
+        assert run.rows == reference.rows, (
             f"{name} diverged from the serial verdict stream")
-        assert leg.digest() == reference.digest()
+        assert run.digest() == reference.digest()
     return reference
 
 
@@ -65,15 +72,15 @@ class TestCleanParity:
     def test_fanout_actually_engaged(self):
         # Guard against vacuous parity: the concurrent leg must really
         # have sent probes from pool threads (same total probe count).
-        serial = run_leg(COUNT, SEED)
-        fanout = run_leg(COUNT, SEED, fanout=FANOUT)
+        serial = leg("serial")
+        fanout = leg("fanout")
         assert fanout.probe_count == serial.probe_count
         assert fanout.rows == serial.rows
 
 
 class TestFaultedParity:
     def test_fail_once_faults_are_invisible_everywhere(self):
-        clean = run_leg(COUNT, SEED)
+        clean = leg("serial")
         runs = legs(recoverable_program)
         reference = assert_all_identical(runs)
         # Fully recoverable: the faulted stream equals the clean stream,
@@ -91,8 +98,8 @@ class TestFaultedParity:
         assert len(verdicts) == COUNT
 
     def test_dead_substrate_degrades_every_shape_to_indeterminate(self):
-        for name, leg in legs(unrecoverable_program).items():
-            verdicts = {json.loads(row)["verdict"] for row in leg.rows}
+        for name, run in legs(unrecoverable_program).items():
+            verdicts = {json.loads(row)["verdict"] for row in run.rows}
             assert verdicts == {"indeterminate"}, (
                 f"{name} produced non-indeterminate verdicts under a "
                 f"dead substrate: {sorted(verdicts)}")
@@ -103,12 +110,10 @@ class TestParityDiagnostics:
         # The fleet shares one trace-id allocator across shards; the
         # merged stream must keep the single gap-free t-NNNNNN sequence
         # a serial monitor would have minted.
-        leg = run_fleet_leg(COUNT, SEED, shards=SHARDS)
         trace_ids = [json.loads(row)["correlation_id"]
-                     for row in leg.rows]
+                     for row in leg("fleet").rows]
         expected = [f"t-{n:06d}" for n in range(1, COUNT + 1)]
         assert trace_ids == expected
 
     def test_digest_is_deterministic_across_runs(self):
-        assert run_leg(COUNT, SEED).digest() == \
-            run_leg(COUNT, SEED).digest()
+        assert leg("serial").digest() == leg("serial").digest()

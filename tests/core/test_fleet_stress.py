@@ -13,6 +13,7 @@ rings that keep the most recent entries.
 import threading
 from collections import Counter
 
+from repro.config import build_fleet_from_config
 from repro.core import MonitorFleet, SingleFlight
 from repro.core.fleet import tenant_from_token
 from repro.httpsim import Request
@@ -20,7 +21,7 @@ from repro.obs import Observability
 from repro.obs.clock import ManualClock
 from repro.obs.events import EventLog
 from repro.obs.tracing import Tracer
-from repro.validation.chaos import fleet_setup
+from repro.validation import chaos_config
 
 THREADS = 8
 ROUNDS = 25
@@ -142,7 +143,8 @@ class TestShardUnderContention:
         # threads: every request must produce exactly one verdict, the
         # shared allocator must mint gap-free trace ids, and the event
         # ring must stay sequentially coherent.
-        cloud, fleet = fleet_setup(shards=1, fanout=4)
+        cloud, fleet = build_fleet_from_config(
+            chaos_config({"monitor": {"fanout": 4}}))
         tokens = sorted(cloud.paper_tokens().values())
         try:
             def worker(index):

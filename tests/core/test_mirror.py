@@ -86,8 +86,8 @@ class TestMonitorIntegration:
     def setup(self):
         cloud = PrivateCloud.paper_setup()
         tokens = cloud.paper_tokens()
-        monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                          with_mirror=True)
+        monitor = CloudMonitor.for_service(
+            "cinder", cloud.network, "myProject", with_mirror=True)
         cloud.network.register("cmonitor", monitor.app)
         clients = {name: cloud.client(token)
                    for name, token in tokens.items()}
@@ -125,5 +125,6 @@ class TestMonitorIntegration:
 
     def test_mirror_disabled_by_default(self):
         cloud = PrivateCloud.paper_setup()
-        monitor = CloudMonitor.for_cinder(cloud.network, "myProject")
+        monitor = CloudMonitor.for_service("cinder", cloud.network,
+                                           "myProject")
         assert monitor.mirror is None

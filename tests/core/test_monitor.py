@@ -18,8 +18,8 @@ MONITOR = "http://cmonitor/cmonitor/volumes"
 def setup():
     cloud = PrivateCloud.paper_setup(volume_quota=3)
     tokens = cloud.paper_tokens()
-    monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                      enforcing=True)
+    monitor = CloudMonitor.for_service(
+        "cinder", cloud.network, "myProject", enforcing=True)
     cloud.network.register("cmonitor", monitor.app)
     clients = {name: cloud.client(token) for name, token in tokens.items()}
     return cloud, monitor, clients
@@ -29,8 +29,8 @@ def setup():
 def audit_setup():
     cloud = PrivateCloud.paper_setup(volume_quota=3)
     tokens = cloud.paper_tokens()
-    monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                      enforcing=False)
+    monitor = CloudMonitor.for_service(
+        "cinder", cloud.network, "myProject", enforcing=False)
     cloud.network.register("cmonitor", monitor.app)
     clients = {name: cloud.client(token) for name, token in tokens.items()}
     return cloud, monitor, clients

@@ -1,5 +1,4 @@
-"""Typed monitor options and the one-release deprecation of the
-ad-hoc ``fanout=`` / ``probe_cache=`` keywords."""
+"""Typed monitor and resilience options."""
 
 import warnings
 
@@ -12,7 +11,6 @@ from repro.core import (
     MonitorOptions,
     ResilienceOptions,
     RetryPolicy,
-    resolve_options,
 )
 from repro.core.resilience import ResilientTransport
 from repro.errors import MonitorError
@@ -57,46 +55,38 @@ class TestMonitorOptions:
 
 
 class TestResolveOptions:
+    """How a monitor folds its ``enforcing`` / ``probe_planning``
+    keywords over the ``options=`` value it is given."""
+
+    @staticmethod
+    def build(**kwargs):
+        cloud = PrivateCloud.paper_setup()
+        return CloudMonitor.for_service("cinder", cloud.network,
+                                        "myProject", **kwargs)
+
     def test_no_arguments_is_defaults_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_options() == MonitorOptions()
+            assert self.build().options == MonitorOptions()
 
     def test_first_class_keywords_never_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            resolved = resolve_options(enforcing=False,
-                                       probe_planning=False)
-        assert resolved.enforcing is False
-        assert resolved.probe_planning is False
-
-    def test_probe_cache_false_never_warns(self):
-        # False is the default value, not a request for a cache; legacy
-        # call sites passing it explicitly must stay silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolved = resolve_options(probe_cache=False)
-        assert resolved.probe_cache is False
-
-    def test_fanout_keyword_warns_and_folds(self):
-        with pytest.warns(DeprecationWarning, match="fanout"):
-            resolved = resolve_options(fanout=3)
-        assert resolved.fanout == 3
-
-    def test_probe_cache_keyword_warns_and_folds(self):
-        with pytest.warns(DeprecationWarning, match="probe_cache"):
-            resolved = resolve_options(probe_cache=True)
-        assert resolved.probe_cache is True
+            monitor = self.build(enforcing=False, probe_planning=False)
+        assert monitor.options.enforcing is False
+        assert monitor.options.probe_planning is False
 
     def test_keywords_override_the_base_options(self):
-        base = MonitorOptions(enforcing=False, fanout=2)
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_options(base, fanout=4)
-        assert resolved.fanout == 4
-        assert resolved.enforcing is False  # untouched fields survive
+        base = MonitorOptions(enforcing=True, fanout=2)
+        monitor = self.build(options=base, enforcing=False)
+        assert monitor.options.enforcing is False
+        assert monitor.options.fanout == 2  # untouched fields survive
+        monitor.close()
 
 
 class TestConstructorDeprecations:
+    """Building through ``options=`` raises no deprecation warning."""
+
     def test_monitor_accepts_options_silently(self):
         cloud = PrivateCloud.paper_setup()
         with warnings.catch_warnings():
@@ -106,22 +96,6 @@ class TestConstructorDeprecations:
                 options=MonitorOptions(enforcing=False, fanout=2))
         assert monitor.fanout == 2
         monitor.close()
-
-    def test_monitor_fanout_keyword_warns(self):
-        cloud = PrivateCloud.paper_setup()
-        with pytest.warns(DeprecationWarning, match="fanout"):
-            monitor = CloudMonitor.for_service(
-                "cinder", cloud.network, "myProject", fanout=2)
-        assert monitor.fanout == 2
-        monitor.close()
-
-    def test_fleet_probe_cache_keyword_warns(self):
-        cloud = PrivateCloud.paper_setup()
-        with pytest.warns(DeprecationWarning, match="probe_cache"):
-            fleet = MonitorFleet.for_service(
-                "cinder", cloud.network, "myProject", shards=2,
-                probe_cache=True)
-        fleet.close()
 
     def test_fleet_options_propagate_to_every_shard(self):
         cloud = PrivateCloud.paper_setup()

@@ -8,13 +8,15 @@ import threading
 
 import pytest
 
-from repro.core import MethodContract, MonitorFleet, ProbeCache
+from repro.config import build_from_config
+from repro.core import MethodContract, ProbeCache
 from repro.validation import (
     TestOracle,
-    default_setup,
+    chaos_config,
     measure_probe_rate,
+    paper_config,
     recoverable_program,
-    run_cache_parity_campaign,
+    run_leg,
     standard_battery,
 )
 
@@ -84,9 +86,9 @@ def _verdict_rows(monitor):
 class TestMonitorWiring:
     def test_cached_monitor_matches_uncached_verdicts(self):
         battery = standard_battery()
-        cloud_a, plain = default_setup()
+        cloud_a, plain = build_from_config(paper_config())
         TestOracle(cloud_a, plain).run(battery)
-        cloud_b, cached = default_setup(probe_cache=True)
+        cloud_b, cached = build_from_config(paper_config(probe_cache=True))
         TestOracle(cloud_b, cached).run(battery)
         assert _verdict_rows(cached) == _verdict_rows(plain)
         assert cached.provider.probe_count < plain.provider.probe_count
@@ -96,13 +98,13 @@ class TestMonitorWiring:
         assert stats["invalidations"] > 0
 
     def test_hits_metric_family_is_exported(self):
-        cloud, monitor = default_setup(probe_cache=True)
+        cloud, monitor = build_from_config(paper_config(probe_cache=True))
         TestOracle(cloud, monitor).run(standard_battery())
         total = monitor.obs.metrics.total("monitor_probe_cache_hits_total")
         assert total == monitor.probe_cache.stats()["hits"] > 0
 
     def test_mutation_invalidates_dirty_roots(self):
-        cloud, monitor = default_setup(probe_cache=True)
+        cloud, monitor = build_from_config(paper_config(probe_cache=True))
         oracle = TestOracle(cloud, monitor)
         battery = standard_battery()
         # Find the first mutation step; everything before is GET-only.
@@ -124,44 +126,47 @@ class TestMonitorWiring:
         assert cached["cache"]["hits"] > 0
 
     def test_fleet_shards_own_their_caches(self):
-        from repro.cloud import PrivateCloud
-
-        cloud = PrivateCloud.paper_setup()
-        fleet = MonitorFleet.for_service("cinder", cloud.network,
-                                         "myProject", shards=2,
-                                         probe_cache=True)
+        cloud, fleet = build_from_config(paper_config(
+            probe_cache=True).with_delta({"fleet": {"shards": 2}}))
         caches = [m.probe_cache for m in fleet.shards]
         assert all(c is not None for c in caches)
         assert caches[0] is not caches[1]
         assert all(entry["probe_cache"] is not None
                    for entry in fleet.stats()["per_shard"])
+        # A key warmed through shard 0 stays a miss on shard 1.
+        token = next(token for token in cloud.paper_tokens().values()
+                     if fleet.router.route(token) == 0)
+        cloud.client(token).request("GET", "http://cmonitor/cmonitor/volumes")
+        assert caches[0].get("project", None, token)[0] is True
+        assert caches[1].get("project", None, token)[0] is False
         fleet.close()
 
     def test_cache_off_by_default(self):
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(paper_config())
         assert monitor.probe_cache is None
         assert monitor.provider.probe_cache is None
 
 
 class TestChaosParity:
     def test_parity_on_clean_substrate(self):
-        report = run_cache_parity_campaign()
-        assert report.parity
-        assert report.first_divergence() is None
+        plain = run_leg(chaos_config())
+        cached = run_leg(chaos_config({"monitor": {"probe_cache": True}}))
+        assert cached.rows == plain.rows
+        assert cached.probe_count < plain.probe_count
 
     def test_parity_under_recoverable_faults(self):
-        report = run_cache_parity_campaign(
-            fault_factory=recoverable_program)
-        assert report.parity
+        plain = run_leg(chaos_config(), fault_factory=recoverable_program)
+        cached = run_leg(chaos_config({"monitor": {"probe_cache": True}}),
+                         fault_factory=recoverable_program)
+        assert cached.rows == plain.rows
 
     def test_cached_fleet_matches_uncached_serial(self):
         """Shards partition traffic, not cloud state: one shard's
         forwarded mutation must invalidate every shard's cache."""
-        from repro.validation import run_fleet_leg, run_leg
-
-        serial = run_leg(count=30, seed=7)
-        fleet = run_fleet_leg(count=30, seed=7, shards=4,
-                              probe_cache=True)
+        serial = run_leg(chaos_config(), count=30, seed=7)
+        fleet = run_leg(chaos_config({"fleet": {"shards": 4},
+                                      "monitor": {"probe_cache": True}}),
+                        count=30, seed=7)
         assert serial.rows == fleet.rows
 
 

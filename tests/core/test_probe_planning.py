@@ -3,13 +3,14 @@
 import pytest
 
 from repro.cloud import PrivateCloud
+from repro.config import build_from_config
 from repro.core import CloudMonitor, ProbePlan, Verdict
 from repro.core.monitor import MonitoredOperation
 from repro.core.planning import PROBE_ROOTS
 from repro.httpsim import Request
 from repro.obs import Observability
 from repro.uml import Trigger
-from repro.validation import TestOracle, default_setup, standard_battery
+from repro.validation import TestOracle, paper_config, standard_battery
 from repro.workloads import WorkloadRunner, make_workload
 
 MONITOR = "http://cmonitor/cmonitor/volumes"
@@ -19,8 +20,8 @@ MONITOR = "http://cmonitor/cmonitor/volumes"
 def setup():
     cloud = PrivateCloud.paper_setup(volume_quota=3)
     tokens = cloud.paper_tokens()
-    monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                      enforcing=True)
+    monitor = CloudMonitor.for_service(
+        "cinder", cloud.network, "myProject", enforcing=True)
     cloud.network.register("cmonitor", monitor.app)
     clients = {name: cloud.client(token) for name, token in tokens.items()}
     return cloud, monitor, clients
@@ -28,14 +29,14 @@ def setup():
 
 class TestProbePlanAnalysis:
     def test_plans_are_memoized_per_root_set(self):
-        _, monitor = default_setup()
+        _, monitor = build_from_config(paper_config())
         contract = next(iter(monitor.contracts.values()))
         assert contract.probe_plan() is contract.probe_plan()
         assert contract.probe_plan(PROBE_ROOTS) is \
             contract.probe_plan(PROBE_ROOTS)
 
     def test_collection_get_pre_phase_skips_volume(self):
-        _, monitor = default_setup()
+        _, monitor = build_from_config(paper_config())
         contract = monitor.contracts[Trigger("GET", "volumes")]
         plan = contract.probe_plan()
         assert "volume" not in plan.pre_phase_roots
@@ -45,7 +46,7 @@ class TestProbePlanAnalysis:
         # DELETE(volume): `volume.status` and `user.roles` appear only in
         # the pre()-wrapped antecedents; the target invariants and effects
         # read project/quota_sets against the post-state.
-        _, monitor = default_setup()
+        _, monitor = build_from_config(paper_config())
         plan = monitor.contracts[Trigger("DELETE", "volume")].probe_plan()
         assert "volume" in plan.pre_phase_roots
         assert "user" in plan.pre_phase_roots
@@ -91,7 +92,8 @@ class TestPlannedVersusUnplanned:
     @staticmethod
     def _run(probe_planning):
         workload = make_workload(80, seed=7)
-        cloud, monitor = default_setup(probe_planning=probe_planning)
+        cloud, monitor = build_from_config(
+            paper_config(probe_planning=probe_planning))
         runner = WorkloadRunner(cloud, monitor)
         histogram = runner.execute(workload, monitored=True)
         rows = [v.to_dict() for v in monitor.log]
@@ -109,7 +111,8 @@ class TestPlannedVersusUnplanned:
 
     def test_battery_verdicts_identical(self):
         def run(probe_planning):
-            cloud, monitor = default_setup(probe_planning=probe_planning)
+            cloud, monitor = build_from_config(
+                paper_config(probe_planning=probe_planning))
             oracle = TestOracle(cloud, monitor)
             results = oracle.run(standard_battery())
             return ([(name, response.status_code)

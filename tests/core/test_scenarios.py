@@ -5,7 +5,6 @@ import pytest
 from repro.cloud import PrivateCloud
 from repro.core import (
     CloudMonitor,
-    Verdict,
     build_scenario,
     register_scenario,
     scenario_names,
@@ -54,47 +53,6 @@ class TestRegistry:
             # Leave the registry as the next test expects it.
             register_scenario("custom-test",
                               lambda *a, **k: None, replace=True)
-
-
-class TestForCinderAlias:
-    def test_for_cinder_warns_but_builds_the_same_monitor(self):
-        cloud_old = PrivateCloud.paper_setup(volume_quota=3)
-        cloud_new = PrivateCloud.paper_setup(volume_quota=3)
-        with pytest.warns(DeprecationWarning, match="for_service"):
-            old = CloudMonitor.for_cinder(cloud_old.network, "myProject",
-                                          enforcing=True)
-        new = CloudMonitor.for_service("cinder", cloud_new.network,
-                                       "myProject", enforcing=True)
-        assert sorted(map(str, old.contracts)) == \
-            sorted(map(str, new.contracts))
-        assert [op.monitor_path for op in old.operations] == \
-            [op.monitor_path for op in new.operations]
-        assert type(old.provider) is type(new.provider)
-
-    def test_alias_and_factory_produce_identical_verdict_streams(self):
-        streams = []
-        for use_alias in (True, False):
-            cloud = PrivateCloud.paper_setup(volume_quota=3)
-            if use_alias:
-                with pytest.warns(DeprecationWarning):
-                    monitor = CloudMonitor.for_cinder(
-                        cloud.network, "myProject", enforcing=True)
-            else:
-                monitor = CloudMonitor.for_service(
-                    "cinder", cloud.network, "myProject", enforcing=True)
-            cloud.network.register("cmonitor", monitor.app)
-            token = cloud.keystone.issue_token("alice", "alice-secret",
-                                               "myProject")
-            client = cloud.client(token)
-            client.get("http://cmonitor/cmonitor/volumes")
-            client.post("http://cmonitor/cmonitor/volumes",
-                        {"volume": {"name": "v", "size": 1}})
-            streams.append([
-                {key: value for key, value in verdict.to_dict().items()
-                 if key != "correlation_id"}
-                for verdict in monitor.log])
-        assert streams[0] == streams[1]
-        assert streams[0][0]["verdict"] == Verdict.VALID
 
 
 class TestOtherServices:

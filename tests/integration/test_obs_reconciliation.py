@@ -20,8 +20,9 @@ import collections
 
 import pytest
 
+from repro.config import build_from_config
 from repro.obs import ManualClock, Observability, SAMPLED_COUNTER
-from repro.validation import default_setup
+from repro.validation import paper_config
 from repro.workloads import WorkloadRunner, make_workload
 
 SEEDS = (7, 42, 1337)
@@ -29,7 +30,8 @@ SEEDS = (7, 42, 1337)
 
 def run_workload(seed, count=40, enforcing=False):
     obs = Observability(clock=ManualClock(tick=1e-4))
-    cloud, monitor = default_setup(enforcing=enforcing, observability=obs)
+    cloud, monitor = build_from_config(paper_config(enforcing=enforcing),
+                                       observability=obs)
     runner = WorkloadRunner(cloud, monitor)
     runner.execute(make_workload(count, seed=seed), monitored=True)
     return monitor

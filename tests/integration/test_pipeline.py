@@ -8,6 +8,7 @@ models, and validate a live (simulated) cloud with the result.
 import pytest
 
 from repro.cloud import PrivateCloud, paper_mutants
+from repro.config import build_from_config
 from repro.core import (
     CloudMonitor,
     ContractGenerator,
@@ -17,7 +18,7 @@ from repro.core import (
 from repro.core.codegen import generate_project
 from repro.httpsim import curl
 from repro.uml import read_xmi, write_xmi
-from repro.validation import MutationCampaign, TestOracle, default_setup
+from repro.validation import MutationCampaign, TestOracle, paper_config
 
 
 class TestXmiToMonitorPipeline:
@@ -44,8 +45,8 @@ class TestXmiToMonitorPipeline:
 
         def setup():
             cloud = PrivateCloud.paper_setup()
-            monitor = CloudMonitor.for_cinder(
-                cloud.network, "myProject", machine=machine,
+            monitor = CloudMonitor.for_service(
+                "cinder", cloud.network, "myProject", machine=machine,
                 diagram=diagram, enforcing=False)
             cloud.network.register("cmonitor", monitor.app)
             return cloud, monitor
@@ -64,7 +65,7 @@ class TestCurlDrivenSession:
     """The Section VI usage: cURL commands against the running monitor."""
 
     def test_paper_style_session(self):
-        cloud, monitor = default_setup(enforcing=True)
+        cloud, monitor = build_from_config(paper_config(enforcing=True))
         tokens = cloud.paper_tokens()
 
         create = curl(
@@ -100,7 +101,7 @@ class TestMonitorAgainstDegradedCloud:
     """Failure injection: the monitor vs. an unreachable / flaky cloud."""
 
     def test_unreachable_cinder_blocks_preconditions(self):
-        cloud, monitor = default_setup(enforcing=True)
+        cloud, monitor = build_from_config(paper_config(enforcing=True))
         tokens = cloud.paper_tokens()
         bob = cloud.client(tokens["bob"])
         cloud.network.unregister("cinder")
@@ -113,7 +114,7 @@ class TestMonitorAgainstDegradedCloud:
     def test_cinder_outage_mid_session(self):
         from repro.httpsim import Response
 
-        cloud, monitor = default_setup(enforcing=False)
+        cloud, monitor = build_from_config(paper_config(enforcing=False))
         tokens = cloud.paper_tokens()
         bob = cloud.client(tokens["bob"])
         volume_id = bob.post("http://cmonitor/cmonitor/volumes",
@@ -128,7 +129,7 @@ class TestMonitorAgainstDegradedCloud:
         assert last.verdict in ("invalid-agreed", "pre-blocked")
 
     def test_keystone_outage_renders_requests_unauthenticated(self):
-        cloud, monitor = default_setup(enforcing=True)
+        cloud, monitor = build_from_config(paper_config(enforcing=True))
         tokens = cloud.paper_tokens()
         alice = cloud.client(tokens["alice"])
         cloud.network.unregister("keystone")
@@ -141,7 +142,7 @@ class TestMultiServiceCloud:
     """Nova and Cinder interact: attachment state drives DELETE contracts."""
 
     def test_attach_via_nova_blocks_monitored_delete(self):
-        cloud, monitor = default_setup(enforcing=True)
+        cloud, monitor = build_from_config(paper_config(enforcing=True))
         tokens = cloud.paper_tokens()
         bob = cloud.client(tokens["bob"])
         alice = cloud.client(tokens["alice"])
@@ -164,7 +165,7 @@ class TestMultiServiceCloud:
         assert monitor.violations() == []
 
     def test_oracle_run_with_nova_churn_stays_clean(self):
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(paper_config())
         tokens = cloud.paper_tokens()
         bob = cloud.client(tokens["bob"])
         server_id = bob.post("http://nova/v3/myProject/servers",

@@ -93,8 +93,8 @@ class TestStaleMonitorDetectsDrift:
         # denies -- the monitor reports rejected-valid-request.  That is
         # the drift signal telling the analyst the models need updating.
         cloud, clients = release2_cloud
-        monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                          enforcing=False)
+        monitor = CloudMonitor.for_service(
+            "cinder", cloud.network, "myProject", enforcing=False)
         cloud.network.register("cmonitor", monitor.app)
         vid = clients["bob"].post(
             MONITOR, {"volume": {}}).json()["volume"]["id"]
@@ -105,8 +105,8 @@ class TestStaleMonitorDetectsDrift:
 
     def test_revised_model_restores_agreement(self, release2_cloud):
         cloud, clients = release2_cloud
-        monitor = CloudMonitor.for_cinder(
-            cloud.network, "myProject",
+        monitor = CloudMonitor.for_service(
+            "cinder", cloud.network, "myProject",
             machine=cinder_behavior_model(with_snapshots=True),
             enforcing=False)
         cloud.network.register("cmonitor", monitor.app)
@@ -124,8 +124,8 @@ class TestStaleMonitorDetectsDrift:
         # 404s, the binding is undefined, size()=0 holds, DELETE proceeds.
         cloud = PrivateCloud.paper_setup()  # release 1
         tokens = cloud.paper_tokens()
-        monitor = CloudMonitor.for_cinder(
-            cloud.network, "myProject",
+        monitor = CloudMonitor.for_service(
+            "cinder", cloud.network, "myProject",
             machine=cinder_behavior_model(with_snapshots=True),
             enforcing=True)
         cloud.network.register("cmonitor", monitor.app)

@@ -7,10 +7,11 @@ in these tests is an exact equality, not a tolerance check.
 import json
 
 from repro.cloud import PrivateCloud
+from repro.config import build_from_config
 from repro.core import CloudMonitor
 from repro.core.monitor import CloudStateProvider
 from repro.obs import ManualClock, Observability
-from repro.validation import TestOracle, default_setup
+from repro.validation import TestOracle, paper_config
 
 MONITOR = "http://cmonitor/cmonitor/volumes"
 
@@ -20,7 +21,8 @@ STAGES = ("pre_probe", "pre_eval", "snapshot", "forward",
 
 def deterministic_setup(enforcing=False, tick=1e-4):
     obs = Observability(clock=ManualClock(tick=tick))
-    cloud, monitor = default_setup(enforcing=enforcing, observability=obs)
+    cloud, monitor = build_from_config(paper_config(enforcing=enforcing),
+                                       observability=obs)
     tokens = cloud.paper_tokens()
     clients = {user: cloud.client(token) for user, token in tokens.items()}
     return cloud, monitor, clients

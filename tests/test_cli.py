@@ -100,10 +100,11 @@ class TestSlice:
 class TestLocalize:
     def test_localize_from_log(self, capsys, tmp_path):
         from repro.cloud import paper_mutants
+        from repro.config import build_from_config
         from repro.core import write_log
-        from repro.validation import TestOracle, default_setup
+        from repro.validation import TestOracle, paper_config
 
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(paper_config())
         mutant = paper_mutants()[0]
         mutant.apply(cloud)
         TestOracle(cloud, monitor).run()
@@ -115,10 +116,11 @@ class TestLocalize:
         assert "volume:delete" in out
 
     def test_localize_clean_log(self, capsys, tmp_path):
+        from repro.config import build_from_config
         from repro.core import write_log
-        from repro.validation import TestOracle, default_setup
+        from repro.validation import TestOracle, paper_config
 
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(paper_config())
         TestOracle(cloud, monitor).run()
         logfile = str(tmp_path / "audit.jsonl")
         write_log(monitor.log, logfile)

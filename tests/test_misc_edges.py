@@ -3,6 +3,7 @@
 import pytest
 
 from repro import errors
+from repro.config import build_from_config
 from repro.core import (
     CloudMonitor,
     MethodContract,
@@ -14,7 +15,7 @@ from repro.httpsim import Headers, Request, Response
 from repro.ocl import Context, Snapshot, parse
 from repro.ocl.values import UNDEFINED, require_number, unique
 from repro.uml.dot import _wrap
-from repro.validation import default_setup
+from repro.validation import paper_config
 
 
 class TestErrorHierarchy:
@@ -36,9 +37,9 @@ class TestErrorHierarchy:
 
 class TestReprs:
     def test_monitor_repr_shows_mode(self):
-        cloud, monitor = default_setup(enforcing=True)
+        cloud, monitor = build_from_config(paper_config(enforcing=True))
         assert "enforcing" in repr(monitor)
-        cloud, monitor = default_setup(enforcing=False)
+        cloud, monitor = build_from_config(paper_config(enforcing=False))
         assert "audit" in repr(monitor)
 
     def test_request_response_reprs(self):
@@ -165,13 +166,13 @@ class TestMonitorMisc:
         from repro.errors import MonitorError
         from repro.uml import Trigger
 
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(paper_config())
         operation = MonitoredOperation(Trigger("PUT", "ghost"), "x", "y")
         with pytest.raises(MonitorError):
             monitor.monitor_request(operation, Request("PUT", "/x"))
 
     def test_verdict_repr(self):
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(paper_config())
         tokens = cloud.paper_tokens()
         cloud.client(tokens["carol"]).get("http://cmonitor/cmonitor/volumes")
         assert "GET(volumes)" in repr(monitor.log[-1])

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.cloud import PolicyMutant, extended_mutants, paper_mutants
+from repro.config import build_from_config
 from repro.errors import ValidationError
 from repro.validation import (
     MutationCampaign,
-    default_setup,
+    paper_config,
     extended_battery,
 )
 
@@ -61,14 +62,14 @@ class TestCampaignDiscipline:
         mutants = paper_mutants()
         MutationCampaign().run(mutants)
         # Applying again must work: the campaign reverted each mutant.
-        cloud, _ = default_setup()
+        cloud, _ = build_from_config(paper_config())
         for mutant in mutants:
             mutant.apply(cloud)
             mutant.revert(cloud)
 
     def test_dirty_baseline_rejected(self):
         def broken_setup():
-            cloud, monitor = default_setup()
+            cloud, monitor = build_from_config(paper_config())
             # Sabotage the real cloud so the baseline itself violates.
             cloud.cinder.policy.set_rule("volume:get", "role:admin")
             return cloud, monitor

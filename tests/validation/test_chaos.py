@@ -7,6 +7,7 @@ from repro.validation import (
     EXPECTED_BREAKER_SEQUENCE,
     assert_breaker_sequence,
     assert_indeterminate_degradation,
+    chaos_config,
     run_breaker_sequence,
     run_chaos_campaign,
     run_leg,
@@ -44,7 +45,7 @@ class TestUnrecoverableFaults:
     def test_dead_substrate_never_reports_violations(self):
         from repro.validation.chaos import unrecoverable_program
 
-        leg = run_leg(count=12, seed=7,
+        leg = run_leg(chaos_config(), count=12, seed=7,
                       fault_factory=unrecoverable_program)
         for row in leg.rows:
             assert json.loads(row)["verdict"] not in Verdict.VIOLATIONS

@@ -1,16 +1,17 @@
 """Tests for fault localization from the monitor log."""
 
 from repro.cloud import paper_mutants
+from repro.config import build_from_config
 from repro.validation import (
     TestOracle,
-    default_setup,
+    paper_config,
     localize,
     render_report,
 )
 
 
 def run_with_mutant(mutant_index):
-    cloud, monitor = default_setup()
+    cloud, monitor = build_from_config(paper_config())
     mutant = paper_mutants()[mutant_index]
     mutant.apply(cloud)
     oracle = TestOracle(cloud, monitor)
@@ -20,7 +21,7 @@ def run_with_mutant(mutant_index):
 
 class TestLocalize:
     def test_clean_log_yields_nothing(self):
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(paper_config())
         TestOracle(cloud, monitor).run()
         assert localize(monitor.log) == []
         assert "nothing to localize" in render_report([])
@@ -51,7 +52,7 @@ class TestLocalize:
         assert "restrictive implementation" in families
 
     def test_post_violation_family(self):
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(paper_config())
         cloud.cinder.delete_success_code = 200
         tokens = cloud.paper_tokens()
         bob = cloud.client(tokens["bob"])

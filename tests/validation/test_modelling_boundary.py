@@ -10,7 +10,7 @@ approach's boundary, not a bug.
 import pytest
 
 from repro.cloud import PrivateCloud, ScopeLeakMutant
-from repro.validation import MutationCampaign, TestOracle, default_setup
+from repro.validation import MutationCampaign, TestOracle
 
 
 @pytest.fixture()
@@ -60,8 +60,8 @@ class TestScopeLeakSurvivesStandardMonitor:
         cloud, _ = two_project_cloud
         from repro.core import CloudMonitor
 
-        monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                          enforcing=False)
+        monitor = CloudMonitor.for_service(
+            "cinder", cloud.network, "myProject", enforcing=False)
         cloud.network.register("cmonitor", monitor.app)
         mutant = ScopeLeakMutant()
         mutant.apply(cloud)

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.config import build_from_config
 from repro.core import Verdict
 from repro.validation import (
     TestOracle,
-    default_setup,
+    paper_config,
     extended_battery,
     standard_battery,
 )
@@ -13,7 +14,7 @@ from repro.validation import (
 
 @pytest.fixture()
 def oracle():
-    cloud, monitor = default_setup()
+    cloud, monitor = build_from_config(paper_config())
     return TestOracle(cloud, monitor)
 
 

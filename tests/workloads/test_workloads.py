@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.config import build_from_config
 from repro.core import CloudMonitor, ContractGenerator
 from repro.uml.validation import errors_only, validate_class_diagram
-from repro.validation import default_setup
+from repro.validation import paper_config
 from repro.workloads import (
     RequestMix,
     WorkloadRunner,
@@ -43,7 +44,7 @@ class TestMakeWorkload:
 
 class TestWorkloadRunner:
     def test_direct_execution_histogram(self):
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(paper_config())
         runner = WorkloadRunner(cloud, monitor)
         histogram = runner.execute(make_workload(40), monitored=False)
         assert sum(histogram.values()) == 40
@@ -51,14 +52,14 @@ class TestWorkloadRunner:
         assert histogram["5xx"] == 0
 
     def test_monitored_execution_histogram(self):
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(paper_config())
         runner = WorkloadRunner(cloud, monitor)
         histogram = runner.execute(make_workload(40), monitored=True)
         assert sum(histogram.values()) == 40
         assert histogram["5xx"] == 0  # audit mode, clean cloud: no 502s
 
     def test_monitored_clean_cloud_no_violations(self):
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(paper_config())
         runner = WorkloadRunner(cloud, monitor)
         runner.execute(make_workload(60, seed=3), monitored=True)
         assert monitor.violations() == []
@@ -67,10 +68,10 @@ class TestWorkloadRunner:
         # The monitor must be transparent for valid traffic: the 2xx count
         # through the monitor matches the direct run on a fresh cloud.
         plans = make_workload(40, seed=11)
-        cloud_a, monitor_a = default_setup()
+        cloud_a, monitor_a = build_from_config(paper_config())
         direct = WorkloadRunner(cloud_a, monitor_a).execute(
             plans, monitored=False)
-        cloud_b, monitor_b = default_setup()
+        cloud_b, monitor_b = build_from_config(paper_config())
         monitored = WorkloadRunner(cloud_b, monitor_b).execute(
             plans, monitored=True)
         assert direct == monitored
