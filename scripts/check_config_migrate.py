@@ -28,6 +28,7 @@ EXAMPLES = os.path.join(ROOT, "examples")
 LEGACY_V0 = {
     "scenario": "cinder",
     "project_id": "myProject",
+    "compiled": True,
     "enforcing": False,
     "volume_quota": 5,
     "probe_planning": True,

@@ -218,7 +218,6 @@ def build_fleet_from_config(config: MonitorConfig,
     config.require_valid()
     options = monitor_options(config)
     scenario = config.scenario
-    extra = {"compiled": True} if scenario.compiled else {}
     # Order: shared clock, cloud, fleet.
     clock = build_clock(config)
     cloud = PrivateCloud.paper_setup(
@@ -229,7 +228,7 @@ def build_fleet_from_config(config: MonitorConfig,
         scenario.name, cloud.network, scenario.project_id,
         shards=config.fleet.shards, clock=clock,
         router_seed=config.fleet.router_seed,
-        options=options, **extra)
+        options=options)
     for shard in fleet.shards:
         _apply_alerting(shard, config)
     if register:
@@ -262,7 +261,6 @@ def build_from_config(config: MonitorConfig,
     config.require_valid()
     options = monitor_options(config)
     scenario = config.scenario
-    extra = {"compiled": True} if scenario.compiled else {}
 
     # Single-monitor order: observability first -- its ManualClock must
     # be constructed before the cloud -- then the cloud, then the
@@ -277,7 +275,7 @@ def build_from_config(config: MonitorConfig,
         release2=config.cloud.release2)
     monitor = CloudMonitor.for_service(
         scenario.name, cloud.network, scenario.project_id,
-        observability=observability, options=options, **extra)
+        observability=observability, options=options)
     _apply_alerting(monitor, config)
     if register:
         cloud.network.register(scenario.register_as, monitor.app)

@@ -7,6 +7,11 @@ module calls that shape **version 0** and migrates it into the nested
 version-1 document, key by key and strictly: an unknown legacy key is a
 :class:`~repro.errors.ConfigError`, never a silent drop.
 
+Keys that once configured something the library no longer offers are
+*retired*: ``migrate`` drops them from both versions, so an old document
+still loads, while :meth:`MonitorConfig.from_dict` keeps rejecting them
+like any other unknown key.
+
 ``migrate`` is idempotent -- a version-1 document passes through the
 canonicalizing parser unchanged, so ``migrate(migrate(d)) == migrate(d)``
 and the digest gate (``scripts/check_config_migrate.py``) can compare
@@ -25,7 +30,6 @@ _V0_KEY_MAP = {
     "scenario": ("scenario", "name"),
     "project_id": ("scenario", "project_id"),
     "register_as": ("scenario", "register_as"),
-    "compiled": ("scenario", "compiled"),
     "volume_quota": ("cloud", "volume_quota"),
     "release2": ("cloud", "release2"),
     "enforcing": ("monitor", "enforcing"),
@@ -40,6 +44,14 @@ _V0_KEY_MAP = {
     "tick": ("observability", "tick"),
     "start": ("observability", "start"),
 }
+
+#: Retired version-0 flat keys.  ``compiled`` switched contracts from
+#: the interpreter to compiled closures; compiled closures are now the
+#: only runtime evaluation path.
+_V0_RETIRED = ("compiled",)
+
+#: Retired version-1 ``section -> fields``, for the same reason.
+_V1_RETIRED = {"scenario": ("compiled",)}
 
 #: Version-0 ``retry`` sub-dict keys, all landing in ``resilience``.
 _V0_RETRY_KEYS = ("max_attempts", "base_delay", "multiplier", "max_delay",
@@ -67,7 +79,7 @@ def migrate(data: Mapping[str, Any]) -> Dict[str, Any]:
             f"{type(data).__name__}")
     version = data.get("config_version", 0)
     if version == CONFIG_VERSION:
-        return MonitorConfig.from_dict(data).to_dict()
+        return MonitorConfig.from_dict(_drop_retired(data)).to_dict()
     if version == 0:
         return MonitorConfig.from_dict(_lift_v0(data)).to_dict()
     raise ConfigError(
@@ -75,12 +87,23 @@ def migrate(data: Mapping[str, Any]) -> Dict[str, Any]:
         f"understands (latest: {CONFIG_VERSION})")
 
 
+def _drop_retired(data: Mapping[str, Any]) -> Dict[str, Any]:
+    """*data* without the retired version-1 fields."""
+    out = dict(data)
+    for section, fields in _V1_RETIRED.items():
+        body = out.get(section)
+        if isinstance(body, Mapping):
+            out[section] = {key: value for key, value in body.items()
+                            if key not in fields}
+    return out
+
+
 def _lift_v0(data: Mapping[str, Any]) -> Dict[str, Any]:
     """Restructure a flat version-0 document into version-1 sections."""
     sections: Dict[str, Dict[str, Any]] = {}
     out: Dict[str, Any] = {"config_version": CONFIG_VERSION}
     for key, value in data.items():
-        if key == "config_version":
+        if key == "config_version" or key in _V0_RETIRED:
             continue
         if key in _V0_PASSTHROUGH:
             out[key] = value

@@ -172,7 +172,6 @@ class ScenarioSection:
     project_id: str = "myProject"
     #: Host name the monitor (or fleet) registers under on the network.
     register_as: str = "cmonitor"
-    compiled: bool = False
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,15 @@ and knows which state must be snapshotted before forwarding a request.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import GenerationError
-from ..ocl import Context, Evaluator, Snapshot, parse, to_text
+from ..ocl import (Context, Snapshot, compile_bool, compile_snapshot_plan,
+                   optimize_expression, parse, to_text)
 from ..ocl.nodes import Binary, Expression, Pre, conjoin, disjoin
 from ..ocl.simplify import simplify as simplify_ocl
 from ..uml import ClassDiagram, StateMachine, Transition, Trigger
+from .planning import PROBE_COSTS, ProbePlan
 
 
 class ContractCase:
@@ -84,22 +86,13 @@ class MethodContract:
             [case.precondition for case in cases])
         self.postcondition: Expression = conjoin(
             [case.implication for case in cases])
-        self._compiled_pre = None
-        self._compiled_post = None
-        #: The optimized ASTs :meth:`compile` produced (None until then);
-        #: probe planning analyses these so folded-away roots stop being
-        #: probed.
-        self._optimized_pre: Optional[Expression] = None
-        self._optimized_post: Optional[Expression] = None
-        #: Compiled snapshot capture: (structural key, closure) pairs over
-        #: the *optimized* post-condition, so snapshot keys always match
-        #: what the compiled post-condition looks up.
-        self._compiled_snapshot = None
+        #: The :class:`CompiledContract` every runtime evaluation goes
+        #: through; built on first use (see :meth:`compiled`).
+        self._compiled: Optional[CompiledContract] = None
         self._obs = None
         self._probe_plans: Dict[Optional[Tuple[str, ...]], Any] = {}
-        #: Guards the compile/plan memoization: under fleet fan-out two
-        #: threads may race to compile, and a reader must never observe a
-        #: compiled pre paired with a still-interpreted post.
+        #: Guards the compile and plan memoization: fleet shards share
+        #: contract objects, so two threads may race to first use.
         self._lock = threading.Lock()
 
     @property
@@ -113,93 +106,40 @@ class MethodContract:
 
     # -- evaluation ------------------------------------------------------------
 
-    def compile(self, costs: Optional[Mapping[str, int]] = None,
-                ) -> "MethodContract":
-        """Compile both conditions through the optimizing pipeline.
+    def compiled(self) -> "CompiledContract":
+        """The compiled form of this contract, built on first use.
 
-        The monitor evaluates contracts on every request; compiled
-        contracts skip the interpreter's per-node dispatch.  Compilation
-        first optimizes the ASTs (see
-        :func:`repro.ocl.compile.optimize_expression`): constant folding
-        through the simplifier, DNF normalization of the pre-condition's
-        disjuncts, and cost-ordering of and/or chains by *costs* (the
-        provider's probe-cost table, defaulting to the Cinder
-        :data:`~repro.core.planning.PROBE_COSTS`) so the cheapest-to-bind
-        operand short-circuits first.  Snapshot capture is compiled over
-        the same optimized post-condition, and the memoized probe plans
-        are recomputed from the optimized ASTs -- a pre-condition that
-        folds to a constant therefore plans zero pre-phase roots and the
-        monitor skips its pre-probe round entirely.
-
-        Thread-safe: every artifact is built before any is published, and
-        publication happens under the contract's lock, so a racing reader
-        never evaluates pre compiled but post interpreted.  Returns self
-        for chaining; calling twice is a no-op.
+        Compilation is lazy so that building a deployment stays cheap: a
+        contract whose method is never requested is never compiled.  The
+        artifact is built under the contract's lock and published as one
+        attribute, so racing threads compile it exactly once and a reader
+        sees either no artifact or all of it.
         """
-        from ..ocl.compile import (compile_bool, compile_snapshot_plan,
-                                   optimize_expression)
-
-        with self._lock:
-            if self._compiled_pre is not None:
-                return self
-            if costs is None:
-                from .planning import PROBE_COSTS
-                costs = PROBE_COSTS
-            optimized_pre = optimize_expression(self.precondition,
-                                                costs=costs, dnf=True)
-            optimized_post = optimize_expression(self.postcondition,
-                                                 costs=costs)
-            compiled_pre = compile_bool(optimized_pre)
-            compiled_post = compile_bool(optimized_post)
-            snapshot_plan = compile_snapshot_plan(optimized_post)
-            self._optimized_pre = optimized_pre
-            self._optimized_post = optimized_post
-            self._compiled_snapshot = snapshot_plan
-            # Post publishes before pre: ``is_compiled`` keys off
-            # ``_compiled_pre``, so readers outside the lock see either
-            # nothing or everything.
-            self._compiled_post = compiled_post
-            self._compiled_pre = compiled_pre
-            # Plans memoized over the raw ASTs are stale now.
-            self._probe_plans.clear()
-        return self
-
-    @property
-    def is_compiled(self) -> bool:
-        """True once :meth:`compile` has run."""
-        return self._compiled_pre is not None
-
-    @property
-    def planning_precondition(self) -> Expression:
-        """The pre-condition AST probe planning should analyse.
-
-        The optimized AST once :meth:`compile` has run -- folded-away
-        roots must stop being probed -- and the raw disjunction before.
-        """
-        optimized = self._optimized_pre
-        return optimized if optimized is not None else self.precondition
-
-    @property
-    def planning_postcondition(self) -> Expression:
-        """The post-condition AST probe planning should analyse."""
-        optimized = self._optimized_post
-        return optimized if optimized is not None else self.postcondition
+        artifact = self._compiled
+        if artifact is None:
+            with self._lock:
+                artifact = self._compiled
+                if artifact is None:
+                    artifact = CompiledContract(self)
+                    self._compiled = artifact
+        return artifact
 
     def probe_plan(self, roots: Optional[Tuple[str, ...]] = None):
         """The roots each monitoring phase must bind, as a ``ProbePlan``.
 
         *roots* is the provider's bindable root set (defaults to the
         Cinder scenario's).  The plan is a static analysis of the
-        contract's ASTs (see :mod:`repro.core.planning`); the expressions
-        are immutable, so the result is memoized per root set (under the
-        contract's lock -- fleet shards share contract objects).
+        compiled contract's optimized ASTs (see
+        :mod:`repro.core.planning`): a case folded to a constant stops
+        reading, and so probing, its roots.  The
+        expressions are immutable, so the result is memoized per root set
+        (under the contract's lock -- fleet shards share contract objects).
         """
         key = tuple(roots) if roots is not None else None
+        compiled = self.compiled()
         with self._lock:
             if key not in self._probe_plans:
-                from .planning import ProbePlan
-
-                self._probe_plans[key] = ProbePlan.for_contract(self,
+                self._probe_plans[key] = ProbePlan.for_contract(compiled,
                                                                 roots=key)
             return self._probe_plans[key]
 
@@ -207,15 +147,14 @@ class MethodContract:
         """Report evaluation timings into *observability* (``None`` stops).
 
         Instrumented contracts record an ``ocl_eval_seconds`` histogram
-        (labelled by phase) around every pre/post/snapshot evaluation, and
-        -- on the interpreted path -- an ``ocl_nodes_evaluated_total``
-        counter of AST nodes dispatched.  Returns self for chaining.
+        and an ``ocl_evaluations_total`` counter (both labelled by phase)
+        around every pre/snapshot/post evaluation.  Returns self for
+        chaining.
         """
         self._obs = observability
         return self
 
-    def _record_eval(self, phase: str, start: float,
-                     evaluator: Optional[Evaluator]) -> None:
+    def _record_eval(self, phase: str, start: float) -> None:
         obs = self._obs
         obs.metrics.histogram(
             "ocl_eval_seconds", "OCL contract evaluation latency, by phase",
@@ -223,63 +162,47 @@ class MethodContract:
         obs.metrics.counter(
             "ocl_evaluations_total", "OCL contract evaluations, by phase",
             phase=phase).inc()
-        if evaluator is not None:
-            obs.metrics.counter(
-                "ocl_nodes_evaluated_total",
-                "AST nodes dispatched by the OCL interpreter, by phase",
-                phase=phase).inc(evaluator.nodes_evaluated)
+
+    def applicable_cases(self, context: Context) -> List[ContractCase]:
+        """The cases whose pre-condition holds in *context* (pre-state).
+
+        One compiled closure per case; the pre-condition (the disjunction
+        of the cases) holds exactly when the result is non-empty, so the
+        monitor's pre stage is this one pass, timed as phase ``pre``.
+        """
+        start = self._obs.clock() if self._obs is not None else 0.0
+        applicable = [case for case, holds in self.compiled().cases
+                      if holds(context)]
+        if self._obs is not None:
+            self._record_eval("pre", start)
+        return applicable
 
     def check_pre(self, context: Context) -> bool:
         """Evaluate the pre-condition in the current (pre-call) state."""
-        start = self._obs.clock() if self._obs is not None else 0.0
-        evaluator = None
-        if self._compiled_pre is not None:
-            result = self._compiled_pre(context)
-        else:
-            evaluator = Evaluator(context)
-            result = evaluator.evaluate_bool(self.precondition)
-        if self._obs is not None:
-            self._record_eval("pre", start, evaluator)
-        return result
+        return bool(self.applicable_cases(context))
 
     def snapshot(self, context: Context) -> Snapshot:
         """Capture every ``pre()`` value the post-condition will need.
 
-        Compiled contracts run the compiled snapshot plan (one closure per
-        structurally distinct ``pre()`` operand of the *optimized*
-        post-condition, so keys match the compiled post's lookups);
-        interpreted contracts capture via the evaluator as before.
+        Runs the compiled snapshot plan: one closure per structurally
+        distinct ``pre()`` operand of the optimized post-condition, so the
+        keys match the compiled post-condition's lookups.
         """
         start = self._obs.clock() if self._obs is not None else 0.0
-        plan = self._compiled_snapshot
-        if plan is not None:
-            snapshot = Snapshot()
-            for key, closure in plan:
-                snapshot.values[key] = closure(context)
-        else:
-            snapshot = Snapshot().capture(self.postcondition, context)
+        snapshot = Snapshot()
+        for key, closure in self.compiled().snapshot_plan:
+            snapshot.values[key] = closure(context)
         if self._obs is not None:
-            self._record_eval("snapshot", start, None)
+            self._record_eval("snapshot", start)
         return snapshot
 
     def check_post(self, context: Context, snapshot: Snapshot) -> bool:
         """Evaluate the post-condition in the post-call state."""
         start = self._obs.clock() if self._obs is not None else 0.0
-        evaluator = None
-        if self._compiled_post is not None:
-            result = self._compiled_post(context, snapshot)
-        else:
-            evaluator = Evaluator(context, snapshot)
-            result = evaluator.evaluate_bool(self.postcondition)
+        result = self.compiled().post(context, snapshot)
         if self._obs is not None:
-            self._record_eval("post", start, evaluator)
+            self._record_eval("post", start)
         return result
-
-    def applicable_cases(self, context: Context) -> List[ContractCase]:
-        """The cases whose pre-condition holds in *context* (pre-state)."""
-        evaluator = Evaluator(context)
-        return [case for case in self.cases
-                if evaluator.evaluate_bool(case.precondition)]
 
     # -- rendering ----------------------------------------------------------------
 
@@ -307,6 +230,40 @@ class MethodContract:
 
     def __repr__(self) -> str:
         return f"<MethodContract {self.trigger} cases={len(self.cases)}>"
+
+
+class CompiledContract:
+    """A :class:`MethodContract` compiled for runtime evaluation.
+
+    Each case pre-condition and the post-condition are optimized (see
+    :func:`repro.ocl.compile.optimize_expression`: constant folding, then
+    and/or chains ordered so the operand with the cheapest probes, per
+    the Cinder :data:`~repro.core.planning.PROBE_COSTS`, short-circuits
+    first) and compiled to closures.  The snapshot plan is compiled over
+    the same optimized post-condition.  The interpreter
+    (:class:`~repro.ocl.Evaluator`) is the oracle the tests compare
+    these closures against.
+    """
+
+    __slots__ = ("cases", "precondition", "postcondition", "post",
+                 "snapshot_plan")
+
+    def __init__(self, contract: MethodContract):
+        pres = [optimize_expression(case.precondition, costs=PROBE_COSTS)
+                for case in contract.cases]
+        #: ``(case, closure)`` pairs in case order.
+        self.cases: Tuple[Tuple[ContractCase, Any], ...] = tuple(
+            (case, compile_bool(pre))
+            for case, pre in zip(contract.cases, pres))
+        #: The disjunction of the optimized case pre-conditions; probe
+        #: planning analyses it with :attr:`postcondition`.
+        self.precondition: Expression = disjoin(pres)
+        #: The optimized post-condition.
+        self.postcondition: Expression = optimize_expression(
+            contract.postcondition, costs=PROBE_COSTS)
+        self.post = compile_bool(self.postcondition)
+        #: ``(structural key, closure)`` pairs filling a snapshot.
+        self.snapshot_plan = tuple(compile_snapshot_plan(self.postcondition))
 
 
 class ContractGenerator:

@@ -1233,8 +1233,8 @@ class CloudMonitor:
                 unbound_roots=unbound), trace)
             return self._invalid_response(503, verdict), verdict
         with trace.span("pre_eval"):
-            pre_holds = contract.check_pre(pre_context)
             applicable = contract.applicable_cases(pre_context)
+            pre_holds = bool(applicable)
         requirements = self._requirements(contract, applicable)
 
         if not pre_holds and self.enforcing:

@@ -74,7 +74,6 @@ def _build_cinder(network: Network, project_id: str,
                   coverage: Optional[CoverageTracker] = None,
                   cinder_host: str = "cinder",
                   with_mirror: bool = False,
-                  compiled: bool = False,
                   observability: Optional[Observability] = None,
                   probe_planning: Optional[bool] = None,
                   transport=None,
@@ -93,9 +92,6 @@ def _build_cinder(network: Network, project_id: str,
     diagram = diagram or cinder_resource_model()
     generator = ContractGenerator(machine, diagram)
     contracts = generator.all_contracts()
-    if compiled:
-        for contract in contracts.values():
-            contract.compile()
     base = f"http://{cinder_host}/v3/{project_id}"
     operations = operations_from_models(machine, diagram, base)
     provider = CloudStateProvider(network, project_id,

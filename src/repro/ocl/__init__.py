@@ -30,7 +30,6 @@ navigation ``a.b``, collection operations ``c->size()``, ``c->isEmpty()``,
 from .compile import (
     compile_bool,
     compile_expression,
-    compile_optimized,
     compile_snapshot_plan,
     optimize_expression,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "collect_pre_expressions",
     "compile_bool",
     "compile_expression",
-    "compile_optimized",
     "compile_snapshot_plan",
     "evaluate",
     "optimize_expression",

@@ -5,11 +5,12 @@ capacity for compilation and processing of data structures" (Section
 VI-B).  This module is that idea applied to the contracts themselves: an
 expression is compiled *once* into a tree of closures, eliminating the
 per-evaluation isinstance dispatch of the tree-walking interpreter.  The
-monitor evaluates every contract on every request, so compiled contracts
-are a real throughput lever (quantified in the OCL-COMPILER bench).
+monitor evaluates every contract on every request through these closures
+(see :class:`repro.core.contracts.CompiledContract`).
 
-Semantics are shared with the interpreter through :mod:`repro.ocl.ops`,
-and interpreter/compiler equivalence is property-tested.
+Semantics are shared with the interpreter through :mod:`repro.ocl.ops`;
+the interpreter is the oracle, and interpreter/compiler equivalence is
+property-tested.
 
 Usage::
 
@@ -39,8 +40,6 @@ from .nodes import (
     Navigation,
     Pre,
     Unary,
-    conjoin,
-    disjoin,
 )
 from .parser import parse
 from .simplify import simplify
@@ -49,12 +48,6 @@ from .values import ocl_equal, ocl_truthy, require_number
 
 #: A compiled expression: (context, snapshot) -> value.
 Compiled = Callable[[Context, Optional[Snapshot]], Any]
-
-#: Ceiling on the conjunctive terms DNF normalization may produce; an
-#: expression whose distribution would exceed it keeps its original shape
-#: (normalization is an optimization, never an obligation).
-DNF_TERM_LIMIT = 64
-
 
 def compile_expression(expression: Union[str, Expression]) -> Compiled:
     """Compile *expression* (text or AST) to a closure tree."""
@@ -72,42 +65,6 @@ def compile_bool(expression: Union[str, Expression]) -> Compiled:
 
 
 # -- the optimization pass ----------------------------------------------------
-
-
-def to_dnf(expression: Union[str, Expression],
-           limit: int = DNF_TERM_LIMIT) -> Expression:
-    """Normalize *expression*'s and/or structure to disjunctive normal form.
-
-    Only the boolean skeleton is rewritten -- comparisons, ``not``,
-    ``implies``/``xor``, navigations, and calls are opaque atoms.  When
-    distribution would produce more than *limit* conjunctive terms the
-    original expression is returned unchanged.  DNF puts a contract's
-    pre-condition back into its per-case disjunct shape after constant
-    folding, so one cheap true disjunct short-circuits the whole check.
-    """
-    node = parse(expression)
-    terms = _dnf_terms(node, limit)
-    if terms is None:
-        return node
-    return disjoin([conjoin(term) for term in terms])
-
-
-def _dnf_terms(node: Expression,
-               limit: int) -> Optional[List[List[Expression]]]:
-    """*node* as a list of conjunct lists, or ``None`` past the limit."""
-    if isinstance(node, Binary) and node.operator == "or":
-        left = _dnf_terms(node.left, limit)
-        right = _dnf_terms(node.right, limit)
-        if left is None or right is None or len(left) + len(right) > limit:
-            return None
-        return left + right
-    if isinstance(node, Binary) and node.operator == "and":
-        left = _dnf_terms(node.left, limit)
-        right = _dnf_terms(node.right, limit)
-        if left is None or right is None or len(left) * len(right) > limit:
-            return None
-        return [lterm + rterm for lterm in left for rterm in right]
-    return [[node]]
 
 
 def binding_cost(expression: Union[str, Expression],
@@ -157,15 +114,12 @@ def _chain(operator: str, node: Expression) -> List[Expression]:
 
 def optimize_expression(expression: Union[str, Expression],
                         costs: Optional[Mapping[str, int]] = None,
-                        dnf: bool = False) -> Expression:
+                        ) -> Expression:
     """The contract-compilation optimization pipeline, as an AST pass.
 
     1. constant folding through :func:`repro.ocl.simplify.simplify`
        (connectives, comparisons via ``ocl_equal``, arithmetic);
-    2. optionally (*dnf*) normalize the boolean skeleton to DNF and fold
-       again -- distribution duplicates atoms that the second fold
-       deduplicates;
-    3. with a *costs* table, stably order every and/or chain so the
+    2. with a *costs* table, stably order every and/or chain so the
        cheapest-to-bind operand short-circuits first.
 
     The result evaluates to the same value as *expression* on total
@@ -174,21 +128,9 @@ def optimize_expression(expression: Union[str, Expression],
     checks.
     """
     node = simplify(parse(expression))
-    if dnf:
-        normalized = to_dnf(node)
-        if normalized is not node:
-            node = simplify(normalized)
     if costs:
         node = order_by_cost(node, costs)
     return node
-
-
-def compile_optimized(expression: Union[str, Expression],
-                      costs: Optional[Mapping[str, int]] = None,
-                      dnf: bool = False) -> Compiled:
-    """:func:`optimize_expression` then :func:`compile_bool`."""
-    return compile_bool(optimize_expression(expression, costs=costs,
-                                            dnf=dnf))
 
 
 def compile_snapshot_plan(

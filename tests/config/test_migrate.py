@@ -72,3 +72,52 @@ class TestIdempotence:
     def test_future_version_rejected(self):
         with pytest.raises(ConfigError):
             migrate({"config_version": 99})
+
+
+#: Per scenario: the host and path its monitor serves a collection GET on.
+SCENARIO_ROUTES = {
+    "cinder": ("cmonitor", "/cmonitor/volumes"),
+    "nova": ("smonitor", "/smonitor/servers"),
+    "keystone": ("imonitor", "/imonitor/projects"),
+}
+
+
+class TestRetiredCompiledKey:
+    """``scenario.compiled`` once chose compiled contract evaluation;
+    compiled closures are now the only path, so migrate drops the key."""
+
+    @staticmethod
+    def _document(name, compiled):
+        host, _ = SCENARIO_ROUTES[name]
+        return {"config_version": 1,
+                "scenario": {"name": name, "register_as": host,
+                             "compiled": compiled}}
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("name", sorted(SCENARIO_ROUTES))
+    def test_v1_key_dropped_and_deployment_serves(self, name, compiled):
+        from repro.config import build_from_config
+        from repro.core import Verdict
+
+        migrated = migrate(self._document(name, compiled))
+        assert "compiled" not in migrated["scenario"]
+        assert migrate(migrated) == migrated
+        config = MonitorConfig.from_dict(migrated)
+        assert config.scenario.name == name
+        cloud, monitor = build_from_config(config)
+        try:
+            host, path = SCENARIO_ROUTES[name]
+            token = cloud.paper_tokens()["carol"]
+            response = cloud.client(token).get(f"http://{host}{path}")
+            assert response.status_code == 200
+            assert [v.verdict for v in monitor.log] == [Verdict.VALID]
+        finally:
+            monitor.close()
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_ROUTES))
+    def test_from_dict_rejects_the_unmigrated_key(self, name):
+        with pytest.raises(ConfigError):
+            MonitorConfig.from_dict(self._document(name, True))
+
+    def test_v0_key_dropped(self):
+        assert migrate({**LEGACY, "compiled": True}) == migrate(LEGACY)

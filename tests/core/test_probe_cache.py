@@ -181,33 +181,52 @@ class TestCompileThreadSafety:
         return next(iter(generator.all_contracts().values()))
 
     def test_concurrent_compile_is_single_and_consistent(self, monkeypatch):
-        import repro.ocl.compile as ocl_compile
+        import repro.core.contracts as contracts
+        from repro.ocl import Context
 
         contract = self._contract()
         calls = []
-        real = ocl_compile.compile_bool
+        real = contracts.compile_bool
 
         def slow_compile(expression):
             calls.append(expression)
-            # Widen the race window: a reader must never observe a
-            # published pre-closure without its post-closure.
+            # Widen the race window: a reader must never observe an
+            # artifact holding some closures but not the others.
             threading.Event().wait(0.005)
             return real(expression)
 
-        monkeypatch.setattr(ocl_compile, "compile_bool", slow_compile)
+        monkeypatch.setattr(contracts, "compile_bool", slow_compile)
         violations = []
         stop = threading.Event()
 
         def reader():
             while not stop.is_set():
-                if (contract._compiled_pre is not None
-                        and contract._compiled_post is None):
-                    violations.append("pre published before post")
+                artifact = contract._compiled
+                if artifact is None:
+                    continue
+                try:
+                    closures = ([holds for _, holds in artifact.cases]
+                                + [artifact.post, artifact.snapshot_plan])
+                except AttributeError as exc:
+                    violations.append(f"partial artifact: {exc}")
+                    continue
+                if (len(artifact.cases) != len(contract.cases)
+                        or any(closure is None for closure in closures)):
+                    violations.append("partial artifact published")
+
+        barrier = threading.Barrier(8)
+
+        def first_use(index):
+            barrier.wait()
+            if index % 2:
+                contract.probe_plan()
+            else:
+                contract.check_pre(Context({}, strict=False))
 
         watcher = threading.Thread(target=reader)
         watcher.start()
-        workers = [threading.Thread(target=contract.compile)
-                   for _ in range(8)]
+        workers = [threading.Thread(target=first_use, args=(index,))
+                   for index in range(8)]
         for worker in workers:
             worker.start()
         for worker in workers:
@@ -215,10 +234,10 @@ class TestCompileThreadSafety:
         stop.set()
         watcher.join()
         assert not violations
-        assert contract.is_compiled
-        # Eight racing threads, exactly one winner: two compile_bool
-        # calls (pre + post), not sixteen.
-        assert len(calls) == 2
+        assert isinstance(contract._compiled, contracts.CompiledContract)
+        # Eight racing threads, exactly one compile: one compile_bool call
+        # per case pre-condition plus one for the post-condition.
+        assert len(calls) == len(contract.cases) + 1
 
     def test_probe_plan_memo_is_consistent_across_threads(self):
         contract = self._contract()

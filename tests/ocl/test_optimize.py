@@ -1,10 +1,10 @@
-"""Tests for the optimizing compile pipeline: fold, DNF, cost ordering.
+"""Tests for the optimizing compile pipeline: fold, cost ordering.
 
 The gate is semantic: every rewrite must be invisible to the verdict.
 The property suite pins interpreter == compiler == simplify-then-compile
-(including mixed int/float literals), and restricts the DNF/cost-ordered
-``compile_optimized`` property to total boolean expressions -- the shape
-contract conditions have -- because reordering also reorders which
+(including mixed int/float literals), and restricts the cost-ordered
+``optimize_expression`` property to total boolean expressions -- the
+shape contract conditions have -- because reordering also reorders which
 operand of a partial expression raises.
 """
 
@@ -18,19 +18,13 @@ from repro.ocl import (
     Snapshot,
     compile_bool,
     compile_expression,
-    compile_optimized,
     compile_snapshot_plan,
     optimize_expression,
     parse,
     simplify,
     to_text,
 )
-from repro.ocl.compile import (
-    DNF_TERM_LIMIT,
-    binding_cost,
-    order_by_cost,
-    to_dnf,
-)
+from repro.ocl.compile import binding_cost, order_by_cost
 from repro.ocl.nodes import Binary, Literal, Name, Navigation
 from repro.ocl.values import ocl_equal
 
@@ -91,29 +85,6 @@ class TestSimplifierFolds:
         assert isinstance(node, Binary) and node.operator == "+"
 
 
-class TestDNF:
-    def test_distributes_and_over_or(self):
-        node = to_dnf("(a or b) and (c or d)")
-        assert to_text(node) == ("a and c or a and d or "
-                                 "b and c or b and d")
-
-    def test_atom_is_its_own_dnf(self):
-        node = to_dnf("project.volumes->size() < 5")
-        assert to_text(node) == "project.volumes->size() < 5"
-
-    def test_bails_out_past_term_limit(self):
-        # 2 disjuncts per factor, 7 factors: 128 terms > DNF_TERM_LIMIT.
-        source = " and ".join(f"(a{i} or b{i})" for i in range(7))
-        assert 2 ** 7 > DNF_TERM_LIMIT
-        node = to_dnf(source)
-        assert to_text(node) == to_text(parse(source))
-
-    def test_preserves_semantics(self):
-        source = "(x > 3 or user.n = 1) and project.n = 2"
-        assert compile_bool(to_dnf(source))(context()) \
-            == compile_bool(source)(context()) is True
-
-
 class TestCostOrdering:
     def test_binding_cost_sums_probe_costs(self):
         assert binding_cost("project.volumes->size()", COSTS) == 2
@@ -141,7 +112,7 @@ class TestCostOrdering:
 class TestOptimizedCompile:
     def test_constant_precondition_folds_away(self):
         node = optimize_expression("1 + 2 = 3 or project.n = 99",
-                                   costs=COSTS, dnf=True)
+                                   costs=COSTS)
         assert isinstance(node, Literal) and node.value is True
 
     def test_matches_plain_compile_on_contract_shape(self):
@@ -149,8 +120,8 @@ class TestOptimizedCompile:
                   "and user.roles->includes('admin') "
                   "or user.roles->includes('operator')")
         plain = compile_bool(source)(context())
-        optimized = compile_optimized(source, costs=COSTS,
-                                      dnf=True)(context())
+        optimized = compile_bool(
+            optimize_expression(source, costs=COSTS))(context())
         assert plain == optimized is True
 
 
@@ -242,11 +213,11 @@ class TestPropertyEquivalence:
     @given(_booleans())
     @settings(max_examples=300, deadline=None)
     def test_optimized_compile_is_semantics_preserving(self, expression):
-        """The full pipeline (fold + DNF + cost ordering) is invisible."""
+        """The full pipeline (fold + cost ordering) is invisible."""
         ctx = context()
         interpreted = Evaluator(ctx).evaluate_bool(expression)
-        optimized = compile_optimized(expression, costs=COSTS,
-                                      dnf=True)(ctx)
+        optimized = compile_bool(
+            optimize_expression(expression, costs=COSTS))(ctx)
         assert interpreted == optimized
 
     @given(_booleans())
@@ -254,6 +225,6 @@ class TestPropertyEquivalence:
     def test_optimize_is_idempotent_on_semantics(self, expression):
         """Optimizing an already-optimized AST changes nothing observable."""
         ctx = context()
-        once = optimize_expression(expression, costs=COSTS, dnf=True)
-        twice = optimize_expression(once, costs=COSTS, dnf=True)
+        once = optimize_expression(expression, costs=COSTS)
+        twice = optimize_expression(once, costs=COSTS)
         assert compile_bool(once)(ctx) == compile_bool(twice)(ctx)

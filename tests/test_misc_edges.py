@@ -137,9 +137,10 @@ class TestContractEdgeCases:
 
         contract = ContractGenerator(cinder_behavior_model()).for_trigger(
             "GET(volumes)")
-        first = contract.compile()._compiled_pre
-        second = contract.compile()._compiled_pre
-        assert first is second
+        first = contract.compiled()
+        contract.probe_plan()
+        contract.check_pre(Context({}, strict=False))
+        assert contract.compiled() is first
 
     def test_simplified_generator_contracts_equivalent(self):
         from repro.core import ContractGenerator
