@@ -2,44 +2,42 @@
 
 Two levers the reproduction adds around the paper's design:
 
-* **identity-probe caching** -- a token's identity is immutable for its
-  lifetime, so the introspection probe can be cached per token; this bench
-  quantifies the probe savings while asserting verdicts stay identical.
+* **probe caching** -- between forwarded mutations the probed state
+  cannot change, so the token-scoped probe cache serves repeated roots
+  (token introspection included) without a GET; this bench quantifies the
+  probe savings while asserting verdicts stay identical.
 * **model slicing** (the paper's future-work item) -- generating the
   monitor from a slice of the models must cost less while preserving the
   contracts of the sliced scenario.
 """
 
+from repro.config import build_from_config
 from repro.core import CloudMonitor, ContractGenerator
 from repro.core import cinder_behavior_model, cinder_resource_model
 from repro.cloud import PrivateCloud
 from repro.uml import slice_models
-from repro.validation import TestOracle
+from repro.validation import TestOracle, paper_config
 from repro.workloads import synthetic_models
 
 
-def _monitored_session(cache_identity):
-    cloud = PrivateCloud.paper_setup()
-    monitor = CloudMonitor.for_service(
-        "cinder", cloud.network, "myProject", enforcing=False)
-    monitor.provider.cache_identity = cache_identity
-    cloud.network.register("cmonitor", monitor.app)
+def _monitored_session(probe_cache):
+    cloud, monitor = build_from_config(paper_config(probe_cache=probe_cache))
     oracle = TestOracle(cloud, monitor)
     oracle.run()
     return monitor
 
 
-def test_bench_ablation_identity_cache_off(benchmark):
+def test_bench_ablation_probe_cache_off(benchmark):
     monitor = benchmark(_monitored_session, False)
     assert monitor.violations() == []
 
 
-def test_bench_ablation_identity_cache_on(benchmark):
+def test_bench_ablation_probe_cache_on(benchmark):
     monitor = benchmark(_monitored_session, True)
     assert monitor.violations() == []
 
 
-def test_bench_ablation_identity_cache_probe_savings(benchmark):
+def test_bench_ablation_probe_cache_probe_savings(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     uncached = _monitored_session(False)
     cached = _monitored_session(True)
@@ -48,7 +46,7 @@ def test_bench_ablation_identity_cache_probe_savings(benchmark):
         [v.verdict for v in uncached.log]
     saved = uncached.provider.probe_count - cached.provider.probe_count
     assert saved > 0
-    print(f"\n[ABLATION] identity cache saves {saved} of "
+    print(f"\n[ABLATION] probe cache saves {saved} of "
           f"{uncached.provider.probe_count} probe GETs over the battery "
           f"({saved / uncached.provider.probe_count:.0%})")
 

@@ -19,10 +19,13 @@ from repro.core import (
     CloudMonitor,
     CloudStateProvider,
     ContractGenerator,
+    MonitorOptions,
+    Probe,
     ResourceModelBuilder,
 )
 from repro.core.monitor import MonitoredOperation
-from repro.httpsim import Application, Network, Response, path, status
+from repro.httpsim import Application, Client, Network, Response, path
+from repro.ocl.values import UNDEFINED
 from repro.rbac import (
     Enforcer,
     RBACModel,
@@ -132,32 +135,36 @@ def build_wiki_service(keystone: KeystoneService) -> Application:
 # -- 3. a state provider for the wiki's OCL roots ------------------------------
 
 class WikiStateProvider(CloudStateProvider):
-    """Probes the wiki's addressable state: the pages collection + user."""
+    """Probes the wiki's addressable state: the pages collection + user.
 
-    #: The wiki's OCL roots; probe plans pick from these per phase.
-    roots = ("pages", "user")
+    The probe table is the whole contract: one row per OCL root, naming
+    the method that binds it and how many GETs that costs.  The inherited
+    ``bindings`` runs the table, so probe plans, the probe cache, deadline
+    budgets and transport failures work exactly as for the built-in
+    scenarios.
+    """
 
-    def bindings(self, token, item_id=None, roots=None):
-        requested = set(self.roots if roots is None else roots)
-        bindings = {}
-        if "pages" in requested:
-            listing = self._get(token, "http://wiki/v1/pages")
-            if status.indicates_existence(listing.status_code):
-                bindings["pages"] = listing.json().get("pages", [])
-        if "user" in requested:
-            user = {}
-            whoami = self._get(
-                token, f"http://{self.keystone_host}/v3/auth/tokens",
-                extra_headers={"X-Subject-Token": token})
-            if status.indicates_existence(whoami.status_code):
-                info = whoami.json().get("token", {})
-                user = {"id": info.get("user", {}).get("id"),
-                        "roles": [r["name"] for r in info.get("roles", [])]}
-            bindings["user"] = user
-        return bindings
+    probes = (
+        Probe("pages", "_probe_pages", 1),
+        Probe("user", "_probe_user", 1),  # inherited: token introspection
+    )
+    #: What a forwarded POST/DELETE can change: evicted from the probe
+    #: cache after every mutation.
+    mutation_dirty_roots = ("pages",)
+
+    def _probe_pages(self, token, item_id, cache):
+        body = self.probe_body(
+            self._get(token, "http://wiki/v1/pages", cache=cache))
+        return UNDEFINED if body is None else body.get("pages", [])
 
 
-def main() -> None:
+def build_wiki_deployment(options=None):
+    """The wiki, its identity service and a monitor mounted at wmonitor.
+
+    *options* configures the monitor (audit mode when omitted).  Returns
+    ``(network, monitor, tokens)`` with the tokens of erin (editor) and
+    vic (viewer).
+    """
     # Identity: two users in two groups mapped to the wiki roles.
     rbac = RBACModel()
     rbac.add_role("editor")
@@ -190,18 +197,20 @@ def main() -> None:
                            "http://wiki/v1/pages/{page_id}"),
     ]
     provider = WikiStateProvider(network, PROJECT)
-    monitor = CloudMonitor(contracts, provider, operations, enforcing=False)
+    monitor = CloudMonitor(contracts, provider, operations,
+                           options=options or MonitorOptions(enforcing=False))
     network.register("wmonitor", monitor.app)
+    tokens = {name: keystone.issue_token(name, "pw", PROJECT)
+              for name in ("erin", "vic")}
+    return network, monitor, tokens
 
-    erin_token = keystone.issue_token("erin", "pw", PROJECT)
-    vic_token = keystone.issue_token("vic", "pw", PROJECT)
 
-    from repro.httpsim import Client
-
+def main() -> None:
+    network, monitor, tokens = build_wiki_deployment()
     erin = Client(network)
-    erin.authenticate(erin_token)
+    erin.authenticate(tokens["erin"])
     vic = Client(network)
-    vic.authenticate(vic_token)
+    vic.authenticate(tokens["vic"])
 
     print("erin (editor) creates two pages through the monitor:")
     first = erin.post("http://wmonitor/wmonitor/pages", {"title": "Home"})

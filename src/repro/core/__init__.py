@@ -33,7 +33,7 @@ from .fleet import MonitorFleet, ShardRouter, tenant_from_token
 from .mirror import MirrorDatabase, MirrorTable
 from .monitor import CloudMonitor, CloudStateProvider, MonitorVerdict, Verdict
 from .options import MonitorOptions, ResilienceOptions
-from .planning import PROBE_COSTS, PROBE_ROOTS, ProbePlan
+from .planning import PROBE_COSTS, PROBE_ROOTS, Probe, ProbePlan
 from .probecache import ProbeCache
 from .resilience import (
     CircuitBreaker,
@@ -77,6 +77,7 @@ __all__ = [
     "MonitorVerdict",
     "PROBE_COSTS",
     "PROBE_ROOTS",
+    "Probe",
     "ProbeCache",
     "ProbeFailure",
     "ProbeOutcome",

@@ -7,7 +7,7 @@ cloud and routes each incoming request to exactly one of them by tenant
 key (the requesting token by default):
 
 * **isolation** -- every shard owns its own provider, resilient
-  transport (breakers and retry bookkeeping), identity cache, metrics
+  transport (breakers and retry bookkeeping), probe cache, metrics
   registry, trace ring, and wide-event ring; a tenant hammering one
   shard's breakers cannot open another tenant's circuits;
 * **determinism** -- routing is a pure function of the tenant key

@@ -9,9 +9,9 @@ rule that the last project cannot be deleted.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Optional
 
-from ..httpsim import Network, status
+from ..httpsim import Network
 from ..ocl.values import UNDEFINED
 from ..rbac import SecurityRequirement, SecurityRequirementsTable
 from ..uml import ClassDiagram, StateMachine
@@ -19,6 +19,7 @@ from .behavior_model import BehaviorModelBuilder
 from .contracts import ContractGenerator
 from .coverage import CoverageTracker
 from .monitor import CloudMonitor, CloudStateProvider, MonitoredOperation
+from .planning import Probe
 from .resource_model import ResourceModelBuilder
 
 SINGLE = "cloud_with_single_project"
@@ -79,46 +80,19 @@ def keystone_behavior_model(
 
 
 class KeystoneStateProvider(CloudStateProvider):
-    """Binds ``projects`` and ``user`` by probing Keystone itself."""
+    """Binds ``user``, ``projects`` and ``project`` by probing Keystone."""
 
-    roots = ("projects", "project", "user")
-    probe_costs = {"projects": 1, "project": 1, "user": 1}
-    item_scoped_roots = ("project",)
+    probes = (
+        Probe("user", "_probe_user", 1),
+        Probe("projects", "_probe_listing", 1),
+        Probe("project", "_probe_item", 1, item_scoped=True),
+    )
     # Keystone mutations are identity-plane changes: a project CRUD can
     # shift role assignments and scoping, so nothing survives a mutation.
     mutation_dirty_roots = ("projects", "project", "user")
 
-    def bindings(self, token: str,
-                 item_id: Optional[str] = None,
-                 roots: Optional[Iterable[str]] = None) -> Dict[str, Any]:
-        requested = (frozenset(self.roots) if roots is None
-                     else frozenset(roots))
-        cache = self._new_phase_cache()
-        tasks = []
-        skipped = 0
-
-        if "user" in requested:
-            tasks.append(("user", lambda: self._identity(token, cache)))
-        elif not (self.cache_identity and token in self._identity_cache):
-            skipped += self.probe_costs["user"]
-        if "projects" in requested:
-            tasks.append(("projects",
-                          lambda: self._probe_listing(token, cache)))
-        else:
-            skipped += self.probe_costs["projects"]
-        if item_id is not None:
-            if "project" in requested:
-                tasks.append(("project",
-                              lambda: self._probe_item(token, item_id,
-                                                       cache)))
-            else:
-                skipped += self.probe_costs["project"]
-
-        self._count_skipped(skipped)
-        return self._execute_probe_tasks(tasks, token=token, item_id=item_id)
-
-    def _probe_listing(self, token: str,
-                       cache: Optional[Dict[tuple, Any]] = None) -> Any:
+    def _probe_listing(self, token: str, item_id: Optional[str],
+                       cache) -> Any:
         listing_body = self.probe_body(self._get(
             token, f"http://{self.keystone_host}/v3/projects",
             cache=cache))
@@ -126,8 +100,7 @@ class KeystoneStateProvider(CloudStateProvider):
             return UNDEFINED
         return listing_body.get("projects", [])
 
-    def _probe_item(self, token: str, item_id: str,
-                    cache: Optional[Dict[tuple, Any]] = None) -> Any:
+    def _probe_item(self, token: str, item_id: str, cache) -> Any:
         item_body = self.probe_body(self._get(
             token,
             f"http://{self.keystone_host}/v3/projects/{item_id}",
@@ -144,7 +117,7 @@ def monitor_for_keystone(network: Network, project_id: str,
                          observability=None,
                          probe_planning: Optional[bool] = None,
                          transport=None,
-                             options=None) -> CloudMonitor:
+                         options=None) -> CloudMonitor:
     """Assemble the identity-scenario monitor.
 
     Registered in the scenario registry as ``"keystone"``; prefer

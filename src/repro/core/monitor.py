@@ -30,11 +30,11 @@ project/volume/quota/user sweep the paper's wrapper pays on every phase.
 
 from __future__ import annotations
 
-import copy
 import re
 import threading
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..alerting import AlarmEngine
@@ -58,7 +58,7 @@ from .contracts import MethodContract
 from .coverage import CoverageTracker
 from .mirror import MirrorDatabase
 from .options import MonitorOptions
-from .planning import PROBE_COSTS, PROBE_ROOTS, ProbePlan
+from .planning import CINDER_PROBES, Probe, ProbePlan
 from .probecache import ProbeCache
 from .resilience import ProbeFailure, transport_failure
 from .scheduler import ProbeScheduler, SingleFlight
@@ -160,23 +160,31 @@ class CloudStateProvider:
     The paper defines state invariants "as a boolean expression over the
     addressable resources" (Section IV-B): a resource exists iff GET on its
     URI returns 200.  Every probe uses the requesting user's token.
+
+    A provider is its :attr:`probes` table: one
+    :class:`~repro.core.planning.Probe` per OCL root, in probe order,
+    naming the prober method that binds it.  Scenario subclasses (and
+    providers for services you model yourself) declare their own table
+    and probers; :meth:`bindings` runs every table the same way, so
+    transport failures, the probe cache, deadline budgets and the
+    ``cached_only`` rung hold for every scenario.
     """
 
-    #: The OCL roots this provider can bind; probe plans are computed
-    #: against this set, so scenario-specific subclasses override it.
-    roots: Tuple[str, ...] = PROBE_ROOTS
+    #: The probe table: one row per bindable root, in probe order.
+    probes: Tuple[Probe, ...] = CINDER_PROBES
 
-    #: GET cost of binding each root -- shared with the probe planner's
-    #: estimates and the skipped-probe accounting (see
-    #: :data:`repro.core.planning.PROBE_COSTS`).  Scenario subclasses
-    #: override alongside :attr:`roots`.
-    probe_costs: Dict[str, int] = PROBE_COSTS
+    #: The OCL roots this provider can bind (from :attr:`probes`); probe
+    #: plans are computed against this set.
+    roots: Tuple[str, ...]
 
-    #: Roots whose probes read the *item* addressed by the request URI;
-    #: their cache entries are keyed by the item id so two items never
-    #: share a binding.  Scenario subclasses override alongside
-    #: :attr:`roots`.
-    item_scoped_roots: Tuple[str, ...] = ("volume",)
+    #: GET cost of binding each root (from :attr:`probes`) -- what the
+    #: skipped-probe accounting charges for a root a plan leaves out.
+    probe_costs: Dict[str, int]
+
+    #: Roots whose probes read the *item* addressed by the request URI
+    #: (from :attr:`probes`); their cache entries are keyed by the item
+    #: id so two items never share a binding.
+    item_scoped_roots: Tuple[str, ...]
 
     #: Roots a forwarded POST/PUT/DELETE may dirty -- what the monitor
     #: evicts from the probe cache after every mutation.  The Cinder
@@ -186,10 +194,22 @@ class CloudStateProvider:
     mutation_dirty_roots: Tuple[str, ...] = ("project", "volume",
                                              "quota_sets")
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._index_probes()
+
+    @classmethod
+    def _index_probes(cls) -> None:
+        """Derive :attr:`roots`, :attr:`probe_costs` and
+        :attr:`item_scoped_roots` from the :attr:`probes` table."""
+        cls.roots = tuple(probe.root for probe in cls.probes)
+        cls.probe_costs = {probe.root: probe.cost for probe in cls.probes}
+        cls.item_scoped_roots = tuple(probe.root for probe in cls.probes
+                                      if probe.item_scoped)
+
     def __init__(self, network: Network, project_id: str,
                  keystone_host: str = "keystone",
                  cinder_host: str = "cinder",
-                 cache_identity: bool = False,
                  observability: Optional[Observability] = None,
                  transport=None):
         self.network = network
@@ -216,13 +236,6 @@ class CloudStateProvider:
         #: last bindings call): concurrent requests through one provider
         #: must not read each other's probe outcomes.
         self._local = threading.local()
-        #: When enabled, token introspection results are cached per token:
-        #: a token's identity is immutable for its lifetime, so the probe
-        #: can be paid once instead of twice per monitored request.  Role
-        #: *assignments* may still change; call
-        #: :meth:`invalidate_identity_cache` after RBAC changes.
-        self.cache_identity = cache_identity
-        self._identity_cache: Dict[str, Dict[str, Any]] = {}
         #: Optional cross-request :class:`~repro.core.probecache.ProbeCache`
         #: (the owning monitor installs one when its
         #: ``options.probe_cache`` is set): untouched roots are served
@@ -347,58 +360,40 @@ class CloudStateProvider:
                  roots: Optional[Iterable[str]] = None) -> Dict[str, Any]:
         """Probe and return the OCL root bindings for one evaluation.
 
-        *item_id* is the id captured from the monitored item URI (for the
-        Cinder scenario, the volume id).  When *roots* is given (a
-        :class:`~repro.core.planning.ProbePlan` phase set), only the named
-        roots are probed and bound; every probe skipped this way is
-        counted in the ``monitor_probes_skipped_total`` metric at the
-        :attr:`probe_costs` rate.  Probes within one call share a
-        single-flight cache, so identical URLs cost one round trip.
-
-        The ``roots`` keyword is a mandatory part of this contract:
-        scenario subclasses must accept it (``None`` still means "bind
-        everything").  Roots whose probes die in the transport layer are
-        collected in :attr:`unbound_roots` instead of raising.
+        Walks the :attr:`probes` table in order.  *item_id* is the id
+        captured from the monitored item URI (for the Cinder scenario, the
+        volume id); item-scoped roots are probed only when it is given.
+        When *roots* is given (a :class:`~repro.core.planning.ProbePlan`
+        phase set), only the named roots are probed and bound; every
+        probe skipped this way is counted in the
+        ``monitor_probes_skipped_total`` metric at the table's cost.
+        Probes within one call share a single-flight cache, so identical
+        URLs cost one round trip.  Roots whose probes die in the
+        transport layer are collected in :attr:`unbound_roots` instead of
+        raising.
         """
-        requested: FrozenSet[str] = (frozenset(self.roots) if roots is None
-                                     else frozenset(roots))
-        cache = self._new_phase_cache()
+        requested = self.roots if roots is None else frozenset(roots)
+        # Two pool threads may race to one URL only under a concurrent
+        # scheduler; serial probing shares a plain dict.
+        scheduler = self.scheduler
+        cache = (SingleFlight() if scheduler is not None
+                 and scheduler.concurrent else {})
         tasks: List[Tuple[str, Callable[[], Any]]] = []
         skipped = 0
-
-        if "project" in requested:
-            tasks.append(("project",
-                          lambda: self._probe_project(token, cache)))
-        else:
-            skipped += self.probe_costs["project"]
-        if "quota_sets" in requested:
-            tasks.append(("quota_sets",
-                          lambda: self._probe_quota(token, cache)))
-        else:
-            skipped += self.probe_costs["quota_sets"]
-        if "volume" in requested:
-            tasks.append(("volume",
-                          lambda: self._probe_volume(token, item_id, cache)))
-        elif item_id is not None:
-            skipped += self.probe_costs["volume"]
-        if "user" in requested:
-            tasks.append(("user", lambda: self._identity(token, cache)))
-        elif not (self.cache_identity and token in self._identity_cache):
-            skipped += self.probe_costs["user"]
-
-        self._count_skipped(skipped)
+        for root, prober, cost, item_scoped in self.probes:
+            if item_scoped and item_id is None:
+                continue
+            if root in requested:
+                tasks.append((root, partial(getattr(self, prober),
+                                            token, item_id, cache)))
+            else:
+                skipped += cost
+        if skipped and self.observability is not None:
+            self.observability.metrics.counter(
+                "monitor_probes_skipped_total",
+                "GET probes the demand-driven plan proved unnecessary").inc(
+                    skipped)
         return self._execute_probe_tasks(tasks, token=token, item_id=item_id)
-
-    def _new_phase_cache(self):
-        """The single-flight cache for one probe phase.
-
-        A plain dict serially, a :class:`~repro.core.scheduler.SingleFlight`
-        when a scheduler may race two pool threads to the same URL.
-        """
-        scheduler = self.scheduler
-        if scheduler is not None and scheduler.concurrent:
-            return SingleFlight()
-        return {}
 
     def _execute_probe_tasks(
             self, tasks: List[Tuple[str, Callable[[], Any]]],
@@ -530,19 +525,10 @@ class CloudStateProvider:
         if self.observability is not None:
             self.observability.metrics.counter(name, help_text).inc()
 
-    def _count_skipped(self, skipped: int) -> None:
-        """Record probes a plan avoided (subclass ``bindings`` reuse this)."""
-        if skipped and self.observability is not None:
-            self.observability.metrics.counter(
-                "monitor_probes_skipped_total",
-                "GET probes the demand-driven plan proved unnecessary").inc(
-                    skipped)
+    # -- probers: (token, item_id, cache) -> binding ---------------------------
 
-    # -- per-root probes ---------------------------------------------------------
-
-    def _probe_project(self, token: str,
-                       cache: Optional[Dict[tuple, Response]] = None,
-                       ) -> Dict[str, Any]:
+    def _probe_project(self, token: str, item_id: Optional[str],
+                       cache) -> Dict[str, Any]:
         project: Dict[str, Any] = {}
         response = self._get(
             token,
@@ -558,8 +544,8 @@ class CloudStateProvider:
             project["volumes"] = volumes_body.get("volumes", [])
         return project
 
-    def _probe_quota(self, token: str,
-                     cache: Optional[Dict[tuple, Response]] = None) -> Any:
+    def _probe_quota(self, token: str, item_id: Optional[str],
+                     cache) -> Any:
         quota: Any = UNDEFINED
         quota_body = self.probe_body(self._get(
             token,
@@ -569,12 +555,9 @@ class CloudStateProvider:
             quota = quota_body.get("quota_set", {})
         return quota
 
-    def _probe_volume(self, token: str, volume_id: Optional[str],
-                      cache: Optional[Dict[tuple, Response]] = None,
-                      ) -> Dict[str, Any]:
+    def _probe_volume(self, token: str, volume_id: str,
+                      cache) -> Dict[str, Any]:
         volume: Dict[str, Any] = {}
-        if volume_id is None:
-            return volume
         item_body = self.probe_body(self._get(
             token,
             f"http://{self.cinder_host}/v3/{self.project_id}"
@@ -591,44 +574,20 @@ class CloudStateProvider:
                 volume["snapshots"] = snaps_body.get("snapshots", [])
         return volume
 
-    def _identity(self, token: str,
-                  cache: Optional[Dict[tuple, Response]] = None,
-                  ) -> Dict[str, Any]:
-        """Resolve the requesting user via token introspection (cachable).
-
-        Cached entries are deep-copied on store *and* on read: the
-        ``roles`` / ``groups`` lists reach OCL evaluation (and callers
-        beyond our control), and a shared list would let one caller's
-        mutation poison every later request with the same token.
-        """
-        if self.cache_identity and token in self._identity_cache:
-            if self.observability is not None:
-                self.observability.metrics.counter(
-                    "monitor_identity_cache_hits_total",
-                    "Token introspections answered from the cache").inc()
-            return copy.deepcopy(self._identity_cache[token])
-        if self.cache_identity and self.observability is not None:
-            self.observability.metrics.counter(
-                "monitor_identity_cache_misses_total",
-                "Token introspections that had to probe Keystone").inc()
-        user: Dict[str, Any] = {}
+    def _probe_user(self, token: str, item_id: Optional[str],
+                    cache) -> Dict[str, Any]:
+        """Resolve the requesting user via token introspection."""
         whoami_body = self.probe_body(self._get(
             token, f"http://{self.keystone_host}/v3/auth/tokens",
             extra_headers={"X-Subject-Token": token}, cache=cache))
-        if whoami_body is not None:
-            info = whoami_body.get("token", {})
-            user = {
-                "id": info.get("user", {}).get("id"),
-                "roles": [r["name"] for r in info.get("roles", [])],
-                "groups": [g["name"] for g in info.get("groups", [])],
-            }
-            if self.cache_identity:
-                self._identity_cache[token] = copy.deepcopy(user)
-        return user
-
-    def invalidate_identity_cache(self) -> None:
-        """Drop cached identities (after role-assignment changes)."""
-        self._identity_cache.clear()
+        if whoami_body is None:
+            return {}
+        info = whoami_body.get("token", {})
+        return {
+            "id": info.get("user", {}).get("id"),
+            "roles": [r["name"] for r in info.get("roles", [])],
+            "groups": [g["name"] for g in info.get("groups", [])],
+        }
 
     def context(self, token: str,
                 item_id: Optional[str] = None,
@@ -641,6 +600,9 @@ class CloudStateProvider:
         """
         return Context(self.bindings(token, item_id, roots=roots),
                        strict=False)
+
+
+CloudStateProvider._index_probes()
 
 
 #: Route captures in a monitor path template: ``<str:volume_id>`` -> name.

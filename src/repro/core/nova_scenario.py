@@ -13,15 +13,16 @@ in :mod:`repro.core` is Cinder-specific.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 
-from ..httpsim import Network, status
+from ..httpsim import Network
 from ..rbac import SecurityRequirement, SecurityRequirementsTable
 from ..uml import ClassDiagram, StateMachine
 from .behavior_model import BehaviorModelBuilder
 from .contracts import ContractGenerator
 from .coverage import CoverageTracker
 from .monitor import CloudMonitor, CloudStateProvider, operations_from_models
+from .planning import Probe
 from .resource_model import ResourceModelBuilder
 
 # State names of the server scenario.
@@ -94,9 +95,11 @@ def nova_behavior_model(
 class NovaStateProvider(CloudStateProvider):
     """Probes Keystone + Nova and binds ``project``, ``server``, ``user``."""
 
-    roots = ("project", "server", "user")
-    probe_costs = {"project": 2, "server": 1, "user": 1}
-    item_scoped_roots = ("server",)
+    probes = (
+        Probe("project", "_probe_project", 2),
+        Probe("server", "_probe_server", 1, item_scoped=True),
+        Probe("user", "_probe_user", 1),
+    )
     # Nova's data-plane mutations (server CRUD) cannot change identity.
     mutation_dirty_roots = ("project", "server")
 
@@ -108,36 +111,8 @@ class NovaStateProvider(CloudStateProvider):
                          transport=transport)
         self.nova_host = nova_host
 
-    def bindings(self, token: str,
-                 item_id: Optional[str] = None,
-                 roots: Optional[Iterable[str]] = None) -> Dict[str, Any]:
-        requested = (frozenset(self.roots) if roots is None
-                     else frozenset(roots))
-        cache = self._new_phase_cache()
-        tasks = []
-        skipped = 0
-
-        if "project" in requested:
-            tasks.append(("project",
-                          lambda: self._probe_nova_project(token, cache)))
-        else:
-            skipped += self.probe_costs["project"]
-        if "server" in requested:
-            tasks.append(("server",
-                          lambda: self._probe_server(token, item_id, cache)))
-        elif item_id is not None:
-            skipped += self.probe_costs["server"]
-        if "user" in requested:
-            tasks.append(("user", lambda: self._identity(token, cache)))
-        elif not (self.cache_identity and token in self._identity_cache):
-            skipped += self.probe_costs["user"]
-
-        self._count_skipped(skipped)
-        return self._execute_probe_tasks(tasks, token=token, item_id=item_id)
-
-    def _probe_nova_project(self, token: str,
-                            cache: Optional[Dict[tuple, Any]] = None,
-                            ) -> Dict[str, Any]:
+    def _probe_project(self, token: str, item_id: Optional[str],
+                       cache) -> Dict[str, Any]:
         project: Dict[str, Any] = {}
         response = self._get(
             token,
@@ -153,18 +128,13 @@ class NovaStateProvider(CloudStateProvider):
             project["servers"] = servers_body.get("servers", [])
         return project
 
-    def _probe_server(self, token: str, item_id: Optional[str],
-                      cache: Optional[Dict[tuple, Any]] = None,
-                      ) -> Dict[str, Any]:
-        server: Dict[str, Any] = {}
-        if item_id is not None:
-            item_body = self.probe_body(self._get(
-                token,
-                f"http://{self.nova_host}/v3/{self.project_id}"
-                f"/servers/{item_id}", cache=cache))
-            if item_body is not None:
-                server = item_body.get("server", {})
-        return server
+    def _probe_server(self, token: str, item_id: str,
+                      cache) -> Dict[str, Any]:
+        item_body = self.probe_body(self._get(
+            token,
+            f"http://{self.nova_host}/v3/{self.project_id}"
+            f"/servers/{item_id}", cache=cache))
+        return {} if item_body is None else item_body.get("server", {})
 
 
 def monitor_for_nova(network: Network, project_id: str,

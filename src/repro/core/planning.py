@@ -23,27 +23,49 @@ in the ``monitor_probes_skipped_total`` metric.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Tuple
 
 from ..ocl.usage import old_value_roots, post_state_roots, required_roots
 
-#: The OCL roots the Cinder-scenario provider knows how to bind.
-PROBE_ROOTS: Tuple[str, ...] = ("project", "volume", "quota_sets", "user")
 
-#: GET requests each Cinder-scenario root costs to bind: ``project`` is
-#: the Keystone project probe plus the volume listing, ``volume`` the
-#: item probe plus its snapshot listing.  This table is the single source
-#: for both the planner's cost estimates and the provider's
-#: skipped-probe accounting -- if a per-root probe gains or loses a
-#: request, change it HERE and the ``monitor_probes_skipped_total``
-#: bookkeeping follows (a test pins these totals to real ``probe_count``
-#: deltas, so drift fails loudly).
-PROBE_COSTS: Dict[str, int] = {
-    "project": 2,
-    "volume": 2,
-    "quota_sets": 1,
-    "user": 1,
-}
+class Probe(NamedTuple):
+    """One row of a provider's probe table: how one OCL root is bound.
+
+    *prober* names the provider method that binds the root; every prober
+    takes ``(token, item_id, cache)`` and returns the binding.  *cost* is
+    the number of GET requests the prober sends -- shared by the
+    planner's cost estimates and the skipped-probe accounting.  An
+    *item_scoped* root reads the item the request URI addresses: it is
+    probed only when the request names an item, and its probe-cache
+    entries are keyed by the item id.
+    """
+
+    root: str
+    prober: str
+    cost: int
+    item_scoped: bool = False
+
+
+#: The Cinder scenario's probe table, in probe order: ``project`` is the
+#: Keystone project probe plus the volume listing, ``volume`` the item
+#: probe plus its snapshot listing.  This table is the single source for
+#: the provider's roots, the planner's cost estimates and the
+#: skipped-probe accounting -- if a prober gains or loses a request,
+#: change its cost HERE (a test pins every scenario's costs to real
+#: ``probe_count`` deltas, so drift fails loudly).
+CINDER_PROBES: Tuple[Probe, ...] = (
+    Probe("project", "_probe_project", 2),
+    Probe("quota_sets", "_probe_quota", 1),
+    Probe("volume", "_probe_volume", 2, item_scoped=True),
+    Probe("user", "_probe_user", 1),
+)
+
+#: The OCL roots the Cinder-scenario provider knows how to bind.
+PROBE_ROOTS: Tuple[str, ...] = tuple(probe.root for probe in CINDER_PROBES)
+
+#: GET requests each Cinder-scenario root costs to bind.
+PROBE_COSTS: Dict[str, int] = {probe.root: probe.cost
+                               for probe in CINDER_PROBES}
 
 
 class ProbePlan:
@@ -94,17 +116,6 @@ class ProbePlan:
         its worker pool to the widest plan it will run -- more threads
         than this can never be busy simultaneously."""
         return max(len(self.pre_phase_roots), len(self.post_phase_roots), 1)
-
-    def probe_cost(self, costs: Optional[Mapping[str, int]] = None) -> int:
-        """Planned GET probes for one monitored request under this plan.
-
-        *costs* defaults to the Cinder :data:`PROBE_COSTS`; pass the
-        provider's own ``probe_costs`` table for other scenarios.  Roots
-        missing from the table count one probe each.
-        """
-        table = costs if costs is not None else PROBE_COSTS
-        return (sum(table.get(root, 1) for root in self.pre_phase_roots) +
-                sum(table.get(root, 1) for root in self.post_phase_roots))
 
     def describe(self) -> str:
         """Compact ``pre:...|post:...`` form for trace tags and logs."""

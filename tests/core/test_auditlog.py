@@ -1,4 +1,4 @@
-"""Tests for audit-log persistence and the cached-identity provider."""
+"""Tests for audit-log persistence and cached token introspection."""
 
 import io
 import json
@@ -7,7 +7,14 @@ import pytest
 
 from repro.cloud import PrivateCloud, paper_mutants
 from repro.config import build_from_config
-from repro.core import CloudMonitor, read_log, write_log
+from repro.core import (
+    CloudMonitor,
+    MonitorOptions,
+    ProbeCache,
+    Verdict,
+    read_log,
+    write_log,
+)
 from repro.core.auditlog import verdict_from_json, verdict_to_json
 from repro.core.monitor import CloudStateProvider, MonitorVerdict
 from repro.uml import Trigger
@@ -131,59 +138,84 @@ class TestRoundTrip:
         assert diagnoses[0].action == "volume:delete"
 
 
+def run_battery(probe_cache):
+    """The paper battery; returns the monitor and its introspection GETs."""
+    cloud, monitor = build_from_config(paper_config(probe_cache=probe_cache))
+    introspections = []
+
+    def spy(request):
+        if request.path == "/v3/auth/tokens":
+            introspections.append(request.path)
+        return None
+
+    cloud.network.inject_fault("keystone", spy)
+    TestOracle(cloud, monitor).run()
+    return monitor, len(introspections)
+
+
+def verdict_rows(monitor):
+    return [(str(v.trigger), v.verdict, v.response_status,
+             v.security_requirements) for v in monitor.log]
+
+
 class TestIdentityCache:
+    """Token introspection is cached as the probe cache's ``user`` entry."""
+
     def test_cache_reduces_probe_count(self):
-        cloud = PrivateCloud.paper_setup()
-        token = cloud.paper_tokens()["bob"]
-        cached = CloudStateProvider(cloud.network, "myProject",
-                                    cache_identity=True)
-        uncached = CloudStateProvider(cloud.network, "myProject")
-        for provider in (cached, uncached):
-            provider.bindings(token)
-            provider.bindings(token)
-        assert cached.probe_count == uncached.probe_count - 1
+        uncached, uncached_introspections = run_battery(probe_cache=False)
+        cached, cached_introspections = run_battery(probe_cache=True)
+        assert cached_introspections < uncached_introspections
+        assert cached.provider.probe_count < uncached.provider.probe_count
 
     def test_cached_identity_correct(self):
         cloud = PrivateCloud.paper_setup()
         token = cloud.paper_tokens()["alice"]
-        provider = CloudStateProvider(cloud.network, "myProject",
-                                      cache_identity=True)
+        provider = CloudStateProvider(cloud.network, "myProject")
+        provider.probe_cache = ProbeCache()
         first = provider.bindings(token)["user"]
+        probes = provider.probe_count
         second = provider.bindings(token)["user"]
+        assert provider.probe_count == probes     # served from the cache
         assert first == second
         assert second["roles"] == ["admin"]
 
     def test_invalidate_forces_reprobe(self):
         cloud = PrivateCloud.paper_setup()
         token = cloud.paper_tokens()["bob"]
-        provider = CloudStateProvider(cloud.network, "myProject",
-                                      cache_identity=True)
+        provider = CloudStateProvider(cloud.network, "myProject")
+        provider.probe_cache = ProbeCache()
         provider.bindings(token)
         count_after_first = provider.probe_count
-        provider.invalidate_identity_cache()
+        provider.probe_cache.invalidate(["user"])
         provider.bindings(token)
-        assert provider.probe_count == count_after_first + 4
+        assert provider.probe_count == count_after_first + 1
 
     def test_cache_does_not_mask_role_changes_after_invalidation(self):
+        # Keystone mutations dirty the identity plane: a forwarded project
+        # mutation evicts every cached ``user``, so a role change made in
+        # the meantime decides the very next request.
         cloud = PrivateCloud.paper_setup()
-        token = cloud.paper_tokens()["carol"]
-        provider = CloudStateProvider(cloud.network, "myProject",
-                                      cache_identity=True)
-        assert provider.bindings(token)["user"]["roles"] == ["user"]
-        cloud.keystone.rbac.assign("member", "myProject", user_id="carol")
-        # Stale until invalidated -- the documented contract.
-        assert provider.bindings(token)["user"]["roles"] == ["user"]
-        provider.invalidate_identity_cache()
-        assert provider.bindings(token)["user"]["roles"] == [
-            "member", "user"]
+        tokens = cloud.paper_tokens()
+        monitor = CloudMonitor.for_service(
+            "keystone", cloud.network, "myProject",
+            options=MonitorOptions(enforcing=True, probe_cache=True))
+        cloud.network.register("imonitor", monitor.app)
+        carol = cloud.client(tokens["carol"])
+        alice = cloud.client(tokens["alice"])
+        projects = "http://imonitor/imonitor/projects"
+        assert carol.post(projects, {"project": {"name": "c1"}}) \
+            .status_code == 412
+        cloud.keystone.rbac.assign("admin", "myProject", user_id="carol")
+        assert alice.post(projects, {"project": {"name": "a1"}}) \
+            .status_code == 201
+        created = carol.post(projects, {"project": {"name": "c2"}})
+        assert created.status_code == 201
+        assert [v.verdict for v in monitor.log] == [
+            Verdict.PRE_BLOCKED, Verdict.VALID, Verdict.VALID]
 
     def test_monitored_session_with_cache_is_equivalent(self):
-        cloud = PrivateCloud.paper_setup()
-        monitor = CloudMonitor.for_service(
-            "cinder", cloud.network, "myProject", enforcing=False)
-        monitor.provider.cache_identity = True
-        cloud.network.register("cmonitor", monitor.app)
-        oracle = TestOracle(cloud, monitor)
-        oracle.run()
-        assert monitor.violations() == []
-        assert monitor.coverage.coverage == 1.0
+        uncached, _ = run_battery(probe_cache=False)
+        cached, _ = run_battery(probe_cache=True)
+        assert verdict_rows(cached) == verdict_rows(uncached)
+        assert cached.violations() == []
+        assert cached.coverage.coverage == 1.0

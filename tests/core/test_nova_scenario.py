@@ -145,5 +145,5 @@ class TestNovaStateProvider:
                                            "myProject")
         provider = NovaStateProvider(cloud.network, "myProject")
         bindings = provider.bindings(token)
-        assert bindings["server"] == {}
+        assert "server" not in bindings    # item-scoped: needs an item id
         assert bindings["project"]["servers"] == []

@@ -4,8 +4,16 @@ import pytest
 
 from repro.cloud import PrivateCloud
 from repro.config import build_from_config
-from repro.core import CloudMonitor, ProbePlan, Verdict
+from repro.core import (
+    CloudMonitor,
+    CloudStateProvider,
+    ProbeCache,
+    ProbePlan,
+    Verdict,
+)
+from repro.core.keystone_scenario import KeystoneStateProvider
 from repro.core.monitor import MonitoredOperation
+from repro.core.nova_scenario import NovaStateProvider
 from repro.core.planning import PROBE_ROOTS
 from repro.httpsim import Request
 from repro.obs import Observability
@@ -62,8 +70,11 @@ class TestPartialBindings:
         cloud, monitor, _ = setup
         token = cloud.keystone.issue_token("alice", "alice-secret",
                                            "myProject")
-        bindings = monitor.provider.bindings(token)
+        bindings = monitor.provider.bindings(token, item_id="vol-missing")
         assert set(bindings) == set(PROBE_ROOTS)
+        # Without an item the item-scoped ``volume`` root is not probed.
+        assert set(monitor.provider.bindings(token)) == \
+            set(PROBE_ROOTS) - {"volume"}
 
     def test_bindings_with_roots_probes_only_those(self, setup):
         cloud, monitor, _ = setup
@@ -129,50 +140,66 @@ class TestPlannedVersusUnplanned:
         assert trace.tags["probe_plan"].startswith("pre:")
 
 
+def _cinder_volume(client):
+    return client.post("http://cinder/v3/myProject/volumes",
+                       {"volume": {"name": "seed", "size": 1}}
+                       ).json()["volume"]["id"]
+
+
+def _nova_server(client):
+    return client.post("http://nova/v3/myProject/servers",
+                       {"server": {"name": "seed"}}).json()["server"]["id"]
+
+
+#: Every shipped scenario's provider, with how to create an existing item.
+SCENARIO_PROVIDERS = {
+    "cinder": (CloudStateProvider, _cinder_volume),
+    "nova": (NovaStateProvider, _nova_server),
+    "keystone": (KeystoneStateProvider, lambda client: "myProject"),
+}
+
+
 class TestProbeCostTable:
-    """The planner's cost table matches what probing actually costs."""
+    """Every scenario's probe table matches what probing actually costs."""
+
+    @staticmethod
+    def _provider_and_item(scenario):
+        provider_class, make_item = SCENARIO_PROVIDERS[scenario]
+        cloud = PrivateCloud.paper_setup(volume_quota=3)
+        token = cloud.keystone.issue_token("alice", "alice-secret",
+                                           "myProject")
+        item_id = make_item(cloud.client(token))
+        return provider_class(cloud.network, "myProject"), token, item_id
 
     def test_costs_pin_real_probe_count_deltas(self):
-        from repro.core import PROBE_COSTS, CloudStateProvider
-
-        cloud = PrivateCloud.paper_setup(volume_quota=3)
-        token = cloud.keystone.issue_token("alice", "alice-secret",
-                                           "myProject")
-        created = cloud.client(token).post(
-            "http://cinder/v3/myProject/volumes",
-            {"volume": {"name": "seed", "size": 1}})
-        volume_id = created.json()["volume"]["id"]
-
-        provider = CloudStateProvider(cloud.network, "myProject")
-        for root, cost in sorted(PROBE_COSTS.items()):
-            before = provider.probe_count
-            provider.bindings(token, item_id=volume_id, roots=[root])
-            actual = provider.probe_count - before
-            assert actual == cost, (
-                f"root {root!r}: PROBE_COSTS says {cost} GETs, "
-                f"probing actually issued {actual}")
+        for scenario in SCENARIO_PROVIDERS:
+            provider, token, item_id = self._provider_and_item(scenario)
+            for root, cost in provider.probe_costs.items():
+                before = provider.probe_count
+                bindings = provider.bindings(token, item_id=item_id,
+                                             roots=[root])
+                actual = provider.probe_count - before
+                assert set(bindings) == {root}
+                assert actual == cost, (
+                    f"{scenario} root {root!r}: the probe table says "
+                    f"{cost} GETs, probing actually issued {actual}")
 
     def test_skipped_accounting_uses_the_table(self):
-        from repro.core import PROBE_COSTS, CloudStateProvider
-        from repro.obs import Observability
-
-        cloud = PrivateCloud.paper_setup(volume_quota=3)
-        token = cloud.keystone.issue_token("alice", "alice-secret",
-                                           "myProject")
-        obs = Observability()
-        provider = CloudStateProvider(cloud.network, "myProject",
-                                      observability=obs)
-        provider.bindings(token, item_id="some-volume", roots=[])
-        skipped = obs.metrics.counter_value("monitor_probes_skipped_total")
-        assert skipped == sum(PROBE_COSTS.values())
+        for scenario in SCENARIO_PROVIDERS:
+            obs = Observability()
+            provider, token, item_id = self._provider_and_item(scenario)
+            provider.observability = obs
+            provider.bindings(token, item_id=item_id, roots=[])
+            skipped = obs.metrics.counter_value(
+                "monitor_probes_skipped_total")
+            assert skipped == sum(provider.probe_costs.values()), scenario
+            assert provider.probe_count == 0
 
 
 class TestRootsKeywordIsMandatory:
     """``bindings(roots=...)`` is part of the provider contract now."""
 
     def test_provider_without_roots_keyword_breaks_loudly(self):
-        from repro.core import CloudStateProvider
-
         class LegacyProvider(CloudStateProvider):
             def bindings(self, token, item_id=None):  # no roots kw
                 return super().bindings(token, item_id)
@@ -258,30 +285,33 @@ class TestItemIdCapture:
 
 
 class TestIdentityCachePoisoning:
-    """Regression: mutating a returned identity must not poison the cache."""
+    """Regression: mutating a served ``user`` must not poison the cache."""
 
     def test_mutating_returned_identity_is_harmless(self, setup):
         cloud, monitor, _ = setup
         provider = monitor.provider
-        provider.cache_identity = True
+        provider.probe_cache = ProbeCache()
         token = cloud.keystone.issue_token("carol", "carol-secret",
                                            "myProject")
-        first = provider._identity(token)
+        first = provider.bindings(token, roots=["user"])["user"]
         assert "proj_administrator" not in first["roles"]
         # A buggy (or malicious) caller escalates its own copy...
         first["roles"].append("proj_administrator")
         first["groups"].clear()
         # ...and later requests with the same token stay unaffected.
-        second = provider._identity(token)
+        probes = provider.probe_count
+        second = provider.bindings(token, roots=["user"])["user"]
+        assert provider.probe_count == probes    # served from the cache
         assert "proj_administrator" not in second["roles"]
         assert second["groups"] != []
 
     def test_mutating_before_store_does_not_leak_either(self, setup):
         cloud, monitor, _ = setup
         provider = monitor.provider
-        provider.cache_identity = True
+        provider.probe_cache = ProbeCache()
         token = cloud.keystone.issue_token("bob", "bob-secret", "myProject")
-        miss = provider._identity(token)     # populates the cache
+        miss = provider.bindings(token, roots=["user"])["user"]  # stores
         miss["roles"].append("proj_administrator")
-        hit = provider._identity(token)      # served from the cache
+        hit = provider.bindings(token, roots=["user"])["user"]   # cached
+        assert provider.probe_cache.hits == 1
         assert "proj_administrator" not in hit["roles"]

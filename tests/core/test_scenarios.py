@@ -66,4 +66,4 @@ class TestOtherServices:
         cloud = PrivateCloud.paper_setup()
         monitor = CloudMonitor.for_service("keystone", cloud.network,
                                            "myProject")
-        assert monitor.provider.roots == ("projects", "project", "user")
+        assert monitor.provider.roots == ("user", "projects", "project")

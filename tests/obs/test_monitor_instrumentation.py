@@ -8,7 +8,7 @@ import json
 
 from repro.cloud import PrivateCloud
 from repro.config import build_from_config
-from repro.core import CloudMonitor
+from repro.core import CloudMonitor, ProbeCache
 from repro.core.monitor import CloudStateProvider
 from repro.obs import ManualClock, Observability
 from repro.validation import TestOracle, paper_config
@@ -101,19 +101,21 @@ class TestMetrics:
             "monitor_probe_requests_total") == monitor.provider.probe_count
 
     def test_identity_cache_hit_miss_counters(self):
+        # Token introspection is cached as the probe cache's ``user``
+        # entry, so it is counted in the probe-cache family.
         cloud = PrivateCloud.paper_setup()
         obs = Observability(clock=ManualClock())
         provider = CloudStateProvider(cloud.network, "myProject",
-                                      cache_identity=True,
                                       observability=obs)
+        provider.probe_cache = ProbeCache()
         token = cloud.paper_tokens()["bob"]
-        provider.bindings(token)
-        provider.bindings(token)
-        provider.bindings(token)
+        for _ in range(3):
+            provider.bindings(token, roots=["user"])
         assert obs.metrics.counter_value(
-            "monitor_identity_cache_misses_total") == 1
+            "monitor_probe_cache_misses_total") == 1
         assert obs.metrics.counter_value(
-            "monitor_identity_cache_hits_total") == 2
+            "monitor_probe_cache_hits_total") == 2
+        assert provider.probe_count == 1
 
     def test_ocl_eval_metrics_recorded(self):
         cloud, monitor, clients = deterministic_setup()
